@@ -72,13 +72,12 @@ def deterministic_tables(stdout: str) -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-smoke-") as tmp:
-        env_base = {"REPRO_SHM_MANIFEST_DIR": os.path.join(tmp, "shm-manifests")}
-        reference = deterministic_tables(run([], env_base).stdout)
+        reference = deterministic_tables(run([]).stdout)
 
         # 1. Transient raise + retries: tables identical, retry counted.
         chaotic = run(
             ["--retries", "2", "--progress"],
-            {**env_base, "REPRO_CHAOS": "raise:AntColony:*"},
+            {"REPRO_CHAOS": "raise:AntColony:*"},
         )
         if deterministic_tables(chaotic.stdout) != reference:
             raise SystemExit("transient-raise tables diverge from fault-free run")
@@ -91,7 +90,7 @@ def main() -> None:
         # completes and labels the loss.
         hung = run(
             ["--timeout", "2", "--progress"],
-            {**env_base, "REPRO_CHAOS": "hang@30@*:AntColony:att-like-n10-*"},
+            {"REPRO_CHAOS": "hang@30@*:AntColony:att-like-n10-*"},
         )
         if "1 of 10 cells failed" not in hung.stdout or "timeout" not in hung.stdout:
             sys.stderr.write(hung.stdout)
@@ -105,7 +104,7 @@ def main() -> None:
         if os.name == "posix":
             killed = run(
                 ["--executor", "process", "--jobs", "2", "--retries", "1"],
-                {**env_base, "REPRO_CHAOS": "kill9:AntColony:att-like-n10-*"},
+                {"REPRO_CHAOS": "kill9:AntColony:att-like-n10-*"},
             )
             if deterministic_tables(killed.stdout) != reference:
                 raise SystemExit("kill9 tables diverge from fault-free run")
@@ -116,7 +115,6 @@ def main() -> None:
         run(
             ["--run-dir", run_dir, "--retries", "2"],
             {
-                **env_base,
                 "REPRO_CHAOS": "raise:AntColony:*",
                 "REPRO_ENGINE_MAX_CELLS": "4",
             },
@@ -124,7 +122,7 @@ def main() -> None:
         )
         resumed = run(
             ["--run-dir", run_dir, "--resume", "--retries", "2"],
-            {**env_base, "REPRO_CHAOS": "raise:AntColony:*"},
+            {"REPRO_CHAOS": "raise:AntColony:*"},
         )
         if deterministic_tables(resumed.stdout) != reference:
             raise SystemExit("resumed chaotic run diverges from fault-free tables")

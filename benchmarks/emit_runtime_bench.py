@@ -1,6 +1,6 @@
 """Measure the multi-colony runtime speedup and persist it to ``BENCH_colony_runtime.json``.
 
-The workload is the acceptance-bar configuration of the shared-memory colony
+The workload is the acceptance-bar configuration of the lockstep colony
 runtime: **8 colonies x 500 vertices** (paper-default parameters, fixed
 seed).  Three drivers are timed end to end through
 :func:`repro.aco.parallel.parallel_aco_layering`:
@@ -10,10 +10,9 @@ seed).  Three drivers are timed end to end through
 * ``process_driver_s`` — ``executor="process"``: the pre-runtime
   multi-process driver (graph JSON shipped to workers, per-colony problem
   rebuild and per-colony kernel calls inside each worker);
-* ``colonies_s`` — ``executor="colonies"``: the shared-memory runtime — one
+* ``colonies_s`` — ``executor="colonies"``: the in-process runtime — one
   problem build, every tour one lockstep kernel call across all colonies'
-  ants, colonies sharded over processes attaching the problem arrays
-  zero-copy when more than one CPU is available.
+  ants, spread over the walk kernel's threads.
 
 Before the record is written the runtime's results are asserted
 **bit-identical** to the serial reference (same best layering, same
@@ -106,9 +105,9 @@ def measure_runtime_speedup(
             "End-to-end wall-clock of %d independent ACO colonies on a "
             "%d-vertex AT&T-like DAG (paper-default parameters, fixed seed) "
             "through three drivers: the serial reference, the pre-runtime "
-            "per-process driver, and the shared-memory colony runtime "
+            "per-process driver, and the in-process colony runtime "
             "(executor='colonies': one problem build, lockstep kernel calls "
-            "across all colonies, zero-copy process sharding).  Best of %d "
+            "across all colonies on the kernel's threads).  Best of %d "
             "runs per driver; results asserted bit-identical across drivers "
             "before writing.  The >=3x bar vs the process driver applies on "
             ">=4-CPU machines; smaller boxes record honest numbers with "

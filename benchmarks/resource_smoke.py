@@ -75,14 +75,13 @@ def deterministic_tables(stdout: str) -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-resource-smoke-") as tmp:
-        env_base = {"REPRO_SHM_MANIFEST_DIR": os.path.join(tmp, "shm-manifests")}
-        reference = deterministic_tables(run([], env_base).stdout)
+        reference = deterministic_tables(run([]).stdout)
 
         # 1. An in-process allocation blow-up is labelled oom, not crash,
         # and poisons only its own cell.
         oomed = run(
             [],
-            {**env_base, "REPRO_CHAOS": "oom@8388608@*:AntColony:att-like-n10-*"},
+            {"REPRO_CHAOS": "oom@8388608@*:AntColony:att-like-n10-*"},
         )
         if "1 of 10 cells failed" not in oomed.stdout or "1 oom" not in oomed.stdout:
             sys.stderr.write(oomed.stdout)
@@ -96,8 +95,7 @@ def main() -> None:
             capped = run(
                 ["--executor", "process", "--jobs", "2", "--memory-budget", "64M"],
                 {
-                    **env_base,
-                    "REPRO_CHAOS": "oom@2147483648@*:AntColony:att-like-n10-*",
+                        "REPRO_CHAOS": "oom@2147483648@*:AntColony:att-like-n10-*",
                 },
             )
             if (
@@ -113,7 +111,7 @@ def main() -> None:
         cache_dir = os.path.join(tmp, "cache")
         full_disk = run(
             ["--cache-dir", cache_dir],
-            {**env_base, "REPRO_CHAOS": "enospc@*:AntColony:*"},
+            {"REPRO_CHAOS": "enospc@*:AntColony:*"},
         )
         if deterministic_tables(full_disk.stdout) != reference:
             raise SystemExit("enospc-degraded tables diverge from fault-free run")
@@ -125,8 +123,7 @@ def main() -> None:
         # 4. A budget between one graph's estimate and the pack's forces
         # the batched planner to split — noted once, results unchanged.
         split = run(
-            ["--executor", "batched", "--jobs", "2", "--memory-budget", "8K"],
-            env_base,
+            ["--executor", "batched", "--jobs", "2", "--memory-budget", "8K"]
         )
         if deterministic_tables(split.stdout) != reference:
             raise SystemExit("budget-split tables diverge from the unbudgeted run")
@@ -141,7 +138,7 @@ def main() -> None:
         if os.name == "posix":
             storm = run(
                 ["--executor", "process", "--jobs", "2"],
-                {**env_base, "REPRO_CHAOS": "kill9@*:*"},
+                {"REPRO_CHAOS": "kill9@*:*"},
             )
             if "in-parent serial execution" not in storm.stderr:
                 sys.stderr.write(storm.stderr)

@@ -58,7 +58,7 @@ def test_kernel_speedup(benchmark):
     if _native.load_native() is not None:
         assert by_size[500]["speedup"] >= 5.0, by_size[500]
     # Acceptance criterion: >= 2x from walk-axis threading on machines with
-    # >= 4 CPUs and a kernel compiled with OpenMP or pthreads.  Smaller or
+    # >= 4 CPUs and a kernel compiled with pthreads.  Smaller or
     # serial-only boxes record honest numbers without the bar.
     if threaded["gated"]:
         assert threaded["speedup"] >= 2.0, threaded

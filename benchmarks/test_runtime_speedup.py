@@ -1,7 +1,7 @@
-"""Speedup benchmark: the shared-memory multi-colony runtime.
+"""Speedup benchmark: the in-process multi-colony runtime.
 
 Times 8 independent colonies on a 500-vertex AT&T-like DAG through the
-serial reference, the pre-runtime per-process driver and the shared-memory
+serial reference, the pre-runtime per-process driver and the lockstep
 colony runtime, refreshes ``BENCH_colony_runtime.json`` (at the repository
 root with ``REPRO_WRITE_BENCH=1``, else in the temp directory so plain test
 runs do not dirty the tracked record), and asserts the acceptance bar: on
@@ -44,6 +44,7 @@ def test_runtime_speedup(benchmark):
     # measure_runtime_speedup already asserted bit-identity across drivers.
     assert results["bit_identical_to_serial"] is True
     # Acceptance criterion: >= 3x over the pre-runtime process driver when
-    # the cores for sharding exist; single-CPU boxes record honest numbers.
+    # the cores for the kernel threads exist; small boxes record honest
+    # numbers.
     if (os.cpu_count() or 1) >= 4:
         assert results["speedup_vs_process"] >= 3.0, results

@@ -5,10 +5,9 @@ Run with::
 
     python examples/parallel_colonies.py [n_colonies] [executor]
 
-where ``executor`` is ``colonies`` (default: the shared-memory runtime —
-one problem build, lockstep kernel calls across all colonies, zero-copy
-process sharding on multi-core machines), ``process``, ``thread`` or
-``serial``.  The script compares the single-colony result with the
+where ``executor`` is ``colonies`` (default: the in-process runtime —
+one problem build, lockstep kernel calls across all colonies spread over
+the walk kernel's threads), ``process``, ``thread`` or ``serial``.  The script compares the single-colony result with the
 portfolio result and reports the wall-clock time of each, demonstrating the
 coarse-grained parallelisation that suits the algorithm on multi-core
 machines.

@@ -62,7 +62,7 @@ from repro.layering import (
 )
 from repro.sugiyama import SugiyamaDrawing, sugiyama_layout
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -11,12 +11,12 @@ The public entry points are:
   tours, α, β, evaporation rate, initial pheromone, dummy-vertex width,
   selection rule);
 * :func:`repro.aco.parallel.parallel_aco_layering` — run several independent
-  colonies concurrently (processes, threads, or the shared-memory lockstep
+  colonies concurrently (processes, threads, or the in-process lockstep
   runtime via ``executor="colonies"``) and keep the best layering;
-* :func:`repro.aco.runtime.colonies_aco_layering` — the shared-memory
+* :func:`repro.aco.runtime.colonies_aco_layering` — the lockstep
   multi-colony runtime itself: one problem build, batched lockstep tours
-  across all colonies, zero-copy worker attachment and optional periodic
-  pheromone exchange (``ACOParams(exchange_every=k)``).
+  across all colonies and optional periodic pheromone exchange
+  (``ACOParams(exchange_every=k)``).
 
 Internally the algorithm follows the paper's two phases: an *initialisation
 phase* (LPL, stretching to ``|V|`` layers, pheromone/heuristic matrices) and a
@@ -41,11 +41,7 @@ from repro.aco.parallel import parallel_aco_layering
 from repro.aco.params import ACOParams
 from repro.aco.pheromone import PheromoneMatrix
 from repro.aco.problem import LayeringProblem
-from repro.aco.runtime import (
-    colonies_aco_layering,
-    publish_problem,
-    run_colonies_batch,
-)
+from repro.aco.runtime import colonies_aco_layering, run_colonies_batch
 
 __all__ = [
     "ACOParams",
@@ -66,7 +62,6 @@ __all__ = [
     "aco_layering_detailed",
     "parallel_aco_layering",
     "colonies_aco_layering",
-    "publish_problem",
     "run_colonies_batch",
     # analysis
     "convergence_curve",

@@ -10,12 +10,15 @@ pre-powered pheromone matrix, pre-drawn vertex orders and uniforms.
 The kernel is multithreaded over the *walk axis*: every walk owns its output
 rows (assignment, real/crossing/occupancy) and consumes pre-drawn randomness,
 so the walks are embarrassingly parallel and one process can saturate a
-multi-core box without pickling anything.  The compile probe prefers OpenMP,
-falls back to a small pthread fan-out, and degrades to the single-threaded
-loop when neither is available (``thread_support()`` reports which one
-compiled in).  The worker count is resolved per call by
-:func:`effective_threads` — explicit argument > ``REPRO_ACO_THREADS`` >
-``os.cpu_count()`` — with the same canonical errors as ``REPRO_JOBS``.
+multi-core box without pickling anything.  The fan-out is plain pthreads:
+every call creates its threads and joins them all before returning, so no
+thread pool outlives a call and a later ``fork()`` is always safe (a
+persistent OpenMP pool is not: its children deadlock).  Where pthreads do
+not compile, the probe degrades to the single-threaded loop
+(``thread_support()`` reports which one compiled in).  The worker count is
+resolved per call by :func:`effective_threads` — explicit argument >
+``REPRO_ACO_THREADS`` > ``os.cpu_count()`` — with the same canonical errors
+as ``REPRO_JOBS``.
 
 Bit-identity with the Python and NumPy engines is preserved by construction:
 
@@ -277,13 +280,11 @@ static void run_walk_range(const walk_args *wa, int64_t start, int64_t end,
     }
 }
 
-/* Which threading flavour this build carries: 2 = OpenMP, 1 = pthreads,
+/* Which threading flavour this build carries: 1 = pthreads,
    0 = single-threaded fallback. */
 int64_t thread_support(void)
 {
-#if defined(REPRO_THREADS_OPENMP)
-    return 2;
-#elif defined(REPRO_THREADS_PTHREADS)
+#if defined(REPRO_THREADS_PTHREADS)
     return 1;
 #else
     return 0;
@@ -348,20 +349,10 @@ void run_walks(
     if (n_threads > n_ants) n_threads = n_ants;
     if (n_threads > MAX_THREADS) n_threads = MAX_THREADS;
 
-#if defined(REPRO_THREADS_OPENMP)
+#if defined(REPRO_THREADS_PTHREADS)
     if (n_threads > 1) {
-        /* Static chunking over walk indices; chunk t owns scratch slice t,
-           so correctness holds no matter how OpenMP maps chunks to threads. */
-        #pragma omp parallel for schedule(static)
-        for (int64_t t = 0; t < n_threads; t++) {
-            run_walk_range(&wa, t * n_ants / n_threads,
-                           (t + 1) * n_ants / n_threads,
-                           scores + t * n_cols);
-        }
-        return;
-    }
-#elif defined(REPRO_THREADS_PTHREADS)
-    if (n_threads > 1) {
+        /* Static chunking over walk indices; chunk t owns scratch slice t.
+           Every spawned thread is joined before returning. */
         pthread_t handles[MAX_THREADS];
         walk_task tasks[MAX_THREADS];
         int started[MAX_THREADS];
@@ -386,11 +377,10 @@ void run_walks(
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
-#: Compile-flag variants probed in preference order: OpenMP, then a plain
-#: pthread fan-out, then the single-threaded fallback.  The first variant
-#: that compiles (or is already cached) wins.
+#: Compile-flag variants probed in preference order: the pthread fan-out,
+#: then the single-threaded fallback.  The first variant that compiles (or
+#: is already cached) wins.
 _THREAD_VARIANTS = (
-    ["-fopenmp", "-DREPRO_THREADS_OPENMP"],
     ["-pthread", "-DREPRO_THREADS_PTHREADS"],
     [],
 )
@@ -444,7 +434,7 @@ def _compile_variant(compiler: str, flags: list[str]) -> str | None:
 
 
 def _compile_library() -> str | None:
-    """Compile the kernel, preferring OpenMP, then pthreads, then serial."""
+    """Compile the kernel, preferring pthreads, then serial."""
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
         return None
@@ -526,7 +516,7 @@ def load_native() -> ctypes.CDLL | None:
 
 
 def _thread_mode(lib: ctypes.CDLL) -> str:
-    return {2: "openmp", 1: "pthreads"}.get(int(lib.thread_support()), "none")
+    return "pthreads" if int(lib.thread_support()) == 1 else "none"
 
 
 def native_status() -> str:
@@ -537,8 +527,8 @@ def native_status() -> str:
 def thread_support() -> str:
     """Threading flavour of the loaded kernel.
 
-    ``"openmp"`` or ``"pthreads"`` when the compile probe found thread
-    support, ``"none"`` when only the single-threaded kernel compiled, and
+    ``"pthreads"`` when the compile probe found thread support, ``"none"``
+    when only the single-threaded kernel compiled, and
     ``"unavailable"`` when there is no native kernel at all (no compiler, or
     ``REPRO_ACO_NATIVE=0``).
     """

@@ -315,7 +315,7 @@ def run_walks_batch(
     contiguous ``(n_matrices, n_vertices, n_cols)`` stack of pre-powered
     pheromone matrices and ``tau_index[a]`` names the matrix walk ``a``
     reads, so one call can sweep the ants of several independent colonies
-    (the shared-memory multi-colony runtime batches 8 colonies × 10 ants
+    (the multi-colony runtime batches 8 colonies × 10 ants
     into one 80-walk call).  ``base_assignment`` is either one row
     (broadcast to every walk) or one row per walk; ``real``/``crossing``/
     ``occupancy`` are per-walk ``(n_walks, n_cols)`` arrays mutated in

@@ -15,11 +15,11 @@ exactly that, with three execution back ends:
 * ``"serial"`` — run the colonies one after another in-process; the
   deterministic reference used by tests to check that the parallel back ends
   return equivalent results.
-* ``"colonies"`` — the shared-memory runtime of :mod:`repro.aco.runtime`:
-  the problem is built once, every tour sweeps all colonies' ants in one
-  lockstep kernel call, and on multi-core machines the colonies are sharded
-  over processes that attach the problem arrays zero-copy.  Bit-identical to
-  ``"serial"`` for a fixed seed while ``params.exchange_every == 0``.
+* ``"colonies"`` — the lockstep runtime of :mod:`repro.aco.runtime`: the
+  problem is built once and every tour sweeps all colonies' ants in one
+  in-process kernel call, which the native kernel spreads over its threads
+  (``max_workers`` does not apply).  Bit-identical to ``"serial"`` for a
+  fixed seed while ``params.exchange_every == 0``.
 
 Determinism: given ``params.seed`` the per-colony seeds are derived with
 :func:`repro.utils.rng.spawn_generators`-style seed spawning, so the set of
@@ -142,11 +142,12 @@ def parallel_aco_layering(
     graph: the DAG to layer.
     params: shared algorithm parameters; ``params.seed`` seeds the whole run.
     n_colonies: how many independent colonies to run.
-    max_workers: worker cap for the pool back ends (default: resolved via
+    max_workers: worker cap for the ``"process"`` and ``"thread"`` back
+        ends (default: resolved via
         :func:`repro.utils.pool.effective_workers`, i.e. ``REPRO_JOBS`` or
         the CPU count, clamped to the colony count).
     executor: ``"process"``, ``"thread"``, ``"serial"`` or ``"colonies"``
-        (the shared-memory batched runtime, see :mod:`repro.aco.runtime`).
+        (the in-process lockstep runtime, see :mod:`repro.aco.runtime`).
 
     Returns
     -------
@@ -161,9 +162,7 @@ def parallel_aco_layering(
     if executor == "colonies":
         from repro.aco.runtime import colonies_aco_layering  # avoid module cycle
 
-        return colonies_aco_layering(
-            graph, params, n_colonies=n_colonies, max_workers=max_workers
-        )
+        return colonies_aco_layering(graph, params, n_colonies=n_colonies)
     params = params if params is not None else ACOParams()
     seeds = _derive_colony_seeds(params.seed, n_colonies)
     params_dict = params.as_dict()

@@ -90,7 +90,7 @@ class LayeringProblem:
         The same adjacency in CSR form: the neighbours of vertex ``v`` are
         ``succ_indices[succ_indptr[v]:succ_indptr[v + 1]]`` (flat ``int64``
         arrays).  CSR is the *primary* kernel representation — the NumPy
-        lockstep, the C backend and the shared-memory runtime all traverse
+        lockstep, the C backend and the multi-colony runtime all traverse
         it directly, so the kernel data path stays O(V+E) even on
         star-heavy graphs whose max degree approaches ``|V|``.
     edge_src, edge_dst:

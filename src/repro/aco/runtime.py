@@ -1,4 +1,4 @@
-"""Shared-memory multi-colony runtime.
+"""In-process multi-colony runtime.
 
 The classic multi-colony driver (:mod:`repro.aco.parallel`) treats each colony
 as an opaque job: the graph is JSON-serialised to every worker, every colony
@@ -7,11 +7,8 @@ colony pays its own per-tour Python overhead.  This module removes all three
 costs:
 
 1. **One problem build.**  The :class:`~repro.aco.problem.LayeringProblem` is
-   constructed once; its flat arrays are either used directly (in-process
-   batch) or published into a single :mod:`multiprocessing.shared_memory`
-   block (:func:`publish_problem`) that worker processes attach **zero-copy**
-   (:func:`attach_problem`) — no JSON, no re-parse, no per-colony
-   initialisation.
+   constructed once and its flat arrays feed every colony directly — no
+   JSON, no re-parse, no per-colony initialisation.
 
 2. **Lockstep colony batching.**  :func:`run_colonies_batch` advances *all*
    colonies together: each tour is one
@@ -28,23 +25,23 @@ costs:
    assignment deposits pheromone on *every* colony's matrix, the standard
    coarse-grained cooperation scheme for parallel ant colonies.  Because this
    couples the colonies it deliberately changes results (usually for the
-   better) and forces the in-process batch (no sharding).
+   better).
 
-On multi-core machines :func:`colonies_aco_layering` shards the colonies over
-worker processes (each shard runs its own lockstep batch against the shared
-problem buffers); on a single CPU — or under ``REPRO_JOBS=1`` — everything
-runs as one in-process batch, which is already substantially faster than the
-per-process driver because the problem is built once and the kernel is called
-``n_tours`` times instead of ``n_colonies × n_tours`` times.
+:func:`run_packed_colonies` extends the same loop across *graphs*: a
+:class:`~repro.aco.problem.PackedProblems` pack advances every graph's
+colonies through one :func:`repro.aco.kernels.run_walks_packed` sweep per
+tour.
+
+Everything runs in the calling process.  Multi-core speed-up comes from
+one place only: the native walk kernel fans each sweep's walks out over
+``REPRO_ACO_THREADS`` pthreads and joins them before returning, so a
+process that later forks inherits no thread pool.
 """
 
 from __future__ import annotations
 
-import inspect
-import threading
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,242 +58,16 @@ from repro.aco.problem import LayeringProblem, PackedProblems
 from repro.graph.digraph import DiGraph
 from repro.layering.base import Layering
 from repro.layering.metrics import evaluate_layering
-from repro.utils import resources, shm_manifest
 from repro.utils.exceptions import ValidationError
-from repro.utils.pool import effective_workers, map_with_state
 from repro.utils.rng import as_generator
 
 __all__ = [
-    "SharedProblem",
-    "publish_problem",
-    "attach_problem",
-    "publish_packed",
-    "attach_packed",
     "ColonyOutcome",
     "run_colonies_batch",
     "run_packed_colonies",
     "colonies_aco_layering",
     "prewarm",
 ]
-
-#: The flat arrays of a LayeringProblem that travel through shared memory.
-#: ``edge_dst`` is deliberately absent: it is the same array object as
-#: ``succ_indices`` and is re-aliased on attach.  The kernel adjacency is
-#: CSR-only, so no padded neighbour matrices cross the boundary — the block
-#: stays O(V+E) regardless of degree distribution.
-_SHARED_ARRAYS = (
-    "succ_indptr",
-    "succ_indices",
-    "pred_indptr",
-    "pred_indices",
-    "edge_src",
-    "out_degree",
-    "in_degree",
-    "widths",
-    "initial_assignment",
-)
-
-#: Byte alignment of each array inside the shared block.
-_ALIGN = 64
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-#: Whether SharedMemory supports opting out of resource tracking directly
-#: (Python 3.13+); older interpreters fall back to a lock-guarded patch.
-_SHM_SUPPORTS_TRACK = (
-    "track" in inspect.signature(shared_memory.SharedMemory.__init__).parameters
-)
-
-#: Serialises the registration-suppression window on pre-3.13 interpreters.
-_ATTACH_LOCK = threading.Lock()
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without registering it with the tracker.
-
-    CPython's resource tracker registers *every* SharedMemory mapping, not
-    just the creating one (bpo-38119).  Left in place, an attaching worker
-    either clobbers the publisher's registration (fork: shared tracker, the
-    final unlink logs spurious KeyErrors) or destroys the block when the
-    worker exits (spawn: the worker's own tracker "cleans up" a segment the
-    publisher still uses).  Ownership lives with the publisher, so the
-    attach must not be tracked: Python 3.13+ supports this directly via
-    ``track=False``; earlier interpreters suppress ``register`` for the
-    duration of the attach under a module lock (the narrow remaining window
-    only affects multiprocessing resources created concurrently by *other*
-    threads while an attach is in flight).
-    """
-    if _SHM_SUPPORTS_TRACK:
-        return shared_memory.SharedMemory(name=name, track=False)
-    with _ATTACH_LOCK:
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-
-
-@dataclass
-class SharedProblem:
-    """Owner handle for a problem published into a shared-memory block.
-
-    ``manifest`` is a small picklable dictionary (block name, array offsets/
-    shapes/dtypes, problem scalars) — the only thing that crosses the process
-    boundary.  The creating process must call :meth:`close` and
-    :meth:`unlink` (or use the handle as a context manager) once every worker
-    is done.
-    """
-
-    manifest: dict[str, Any]
-    shm: shared_memory.SharedMemory
-
-    def close(self) -> None:
-        """Release this process's mapping of the block."""
-        self.shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the block (idempotent) and drop it from the run manifest."""
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-        shm_manifest.unregister(self.shm.name)
-
-    def __enter__(self) -> "SharedProblem":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-        self.unlink()
-
-
-def _publish_arrays(arrays: dict[str, np.ndarray]) -> tuple[dict[str, Any], shared_memory.SharedMemory]:
-    """Copy named arrays into one new shared-memory block; return (layout, shm)."""
-    layout: dict[str, dict[str, Any]] = {}
-    offset = 0
-    for name, arr in arrays.items():
-        offset = _aligned(offset)
-        layout[name] = {
-            "offset": offset,
-            "shape": list(arr.shape),
-            "dtype": arr.dtype.str,
-        }
-        offset += arr.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    # Registered the moment it exists: a publisher killed between here and
-    # its ``finally`` leaves a manifest entry the next run's sweep reclaims.
-    shm_manifest.register(shm.name)
-    for name, arr in arrays.items():
-        spec = layout[name]
-        view = np.ndarray(
-            arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=spec["offset"]
-        )
-        view[...] = arr
-    return layout, shm
-
-
-def _attach_views(manifest: dict[str, Any]) -> tuple[dict[str, np.ndarray], shared_memory.SharedMemory]:
-    """Zero-copy views over a block published with :func:`_publish_arrays`.
-
-    If any array fails to map (truncated block, corrupted manifest), the
-    just-attached handle is closed before the error propagates — otherwise
-    the partially-mapped block stays referenced by this process for the
-    lifetime of the worker, pinning the segment.
-    """
-    shm = _attach_untracked(manifest["shm_name"])
-    try:
-        views: dict[str, np.ndarray] = {}
-        for name, spec in manifest["arrays"].items():
-            views[name] = np.ndarray(
-                tuple(spec["shape"]),
-                dtype=np.dtype(spec["dtype"]),
-                buffer=shm.buf,
-                offset=spec["offset"],
-            )
-    except BaseException:
-        views = None  # drop the buffer references before closing the mapping
-        shm.close()
-        raise
-    return views, shm
-
-
-def publish_problem(problem: LayeringProblem) -> SharedProblem:
-    """Copy the problem's flat arrays into one shared-memory block.
-
-    Workers re-materialise a kernel-ready :class:`LayeringProblem` from the
-    returned manifest with :func:`attach_problem` without touching the graph
-    JSON or re-running the initialisation phase.
-    """
-    arrays = {
-        name: np.ascontiguousarray(getattr(problem, name)) for name in _SHARED_ARRAYS
-    }
-    layout, shm = _publish_arrays(arrays)
-    manifest = {
-        "shm_name": shm.name,
-        "arrays": layout,
-        "n_vertices": problem.n_vertices,
-        "n_layers": problem.n_layers,
-        "nd_width": problem.nd_width,
-        "lpl_height": problem.lpl_height,
-    }
-    return SharedProblem(manifest=manifest, shm=shm)
-
-
-def attach_problem(
-    manifest: dict[str, Any]
-) -> tuple[LayeringProblem, shared_memory.SharedMemory]:
-    """Rebuild a worker-side :class:`LayeringProblem` over the shared block.
-
-    The returned problem's arrays are zero-copy views into the block; the
-    accompanying :class:`~multiprocessing.shared_memory.SharedMemory` handle
-    must stay referenced for as long as the problem is used.  ``graph`` is
-    ``None`` on the attached instance (labels never cross the boundary);
-    callers convert index assignments back to labels in the parent.
-    """
-    views, shm = _attach_views(manifest)
-    try:
-        n = manifest["n_vertices"]
-        succ = [
-            piece.tolist()
-            for piece in np.split(views["succ_indices"], views["succ_indptr"][1:-1])
-        ]
-        pred = [
-            piece.tolist()
-            for piece in np.split(views["pred_indices"], views["pred_indptr"][1:-1])
-        ]
-        problem = LayeringProblem(
-            graph=None,  # type: ignore[arg-type] — labels stay in the parent
-            vertices=list(range(n)),
-            n_vertices=n,
-            n_layers=manifest["n_layers"],
-            succ=succ,
-            pred=pred,
-            succ_indptr=views["succ_indptr"],
-            succ_indices=views["succ_indices"],
-            pred_indptr=views["pred_indptr"],
-            pred_indices=views["pred_indices"],
-            edge_src=views["edge_src"],
-            edge_dst=views["succ_indices"],
-            out_degree=views["out_degree"],
-            in_degree=views["in_degree"],
-            widths=views["widths"],
-            nd_width=manifest["nd_width"],
-            initial_assignment=views["initial_assignment"],
-            lpl_height=manifest["lpl_height"],
-        )
-    except BaseException:
-        # A malformed manifest must not leave the block pinned by this
-        # process: drop the view references, then release the mapping.
-        views = None
-        problem = None
-        shm.close()
-        raise
-    return problem, shm
-
 
 # ---------------------------------------------------------------------- #
 # the lockstep multi-colony loop
@@ -317,8 +88,6 @@ def run_colonies_batch(
     problem: LayeringProblem,
     params: ACOParams,
     colony_seeds: Sequence[int],
-    *,
-    colony_indices: Sequence[int] | None = None,
 ) -> list[ColonyOutcome]:
     """Run several colonies in lockstep over one problem instance.
 
@@ -332,8 +101,6 @@ def run_colonies_batch(
     the colonies independently.
     """
     n_colonies = len(colony_seeds)
-    if colony_indices is None:
-        colony_indices = list(range(n_colonies))
     n_ants = params.n_ants
     n_layers = problem.n_layers
 
@@ -490,7 +257,7 @@ def run_colonies_batch(
 
     return [
         ColonyOutcome(
-            colony_index=int(colony_indices[c]),
+            colony_index=c,
             seed=int(colony_seeds[c]),
             score=best_scores[c],
             assignment=best_assignment[c].copy(),
@@ -499,83 +266,19 @@ def run_colonies_batch(
     ]
 
 
-# ---------------------------------------------------------------------- #
-# process sharding over the shared-memory buffers
-# ---------------------------------------------------------------------- #
-
-
-def _attach_state(payload: tuple[dict[str, Any], dict[str, Any]]):
-    """Pool initializer: attach the shared problem once per worker."""
-    manifest, params_dict = payload
-    problem, shm = attach_problem(manifest)
-    # The SharedMemory handle rides along so the zero-copy views stay valid
-    # for the lifetime of the worker.
-    return problem, ACOParams(**params_dict), shm
-
-
-def _run_shard(state, indices: list[int], seeds: list[int]) -> list[ColonyOutcome]:
-    """Worker entry point: run one shard of colonies against the shared problem."""
-    problem, params, _shm = state
-    return run_colonies_batch(problem, params, seeds, colony_indices=indices)
-
-
-def _run_sharded(
-    problem: LayeringProblem,
-    params: ACOParams,
-    seeds: Sequence[int],
-    workers: int,
-) -> list[ColonyOutcome]:
-    """Split the colonies into contiguous shards and run them over a process pool."""
-    n_colonies = len(seeds)
-    n_shards = min(workers, n_colonies)
-    bounds = np.linspace(0, n_colonies, n_shards + 1).astype(int)
-    tasks = []
-    for s in range(n_shards):
-        indices = list(range(int(bounds[s]), int(bounds[s + 1])))
-        if indices:
-            tasks.append((indices, [seeds[i] for i in indices]))
-
-    governor = resources.governor()
-    if governor.allow("shm-publish"):
-        try:
-            shared = publish_problem(problem)
-        except OSError as exc:
-            # /dev/shm full (ENOSPC) or otherwise unusable: degrade to one
-            # in-process batch — bit-identical, just not process-sharded.
-            governor.record_failure("shm-publish", f"{type(exc).__name__}: {exc}")
-        else:
-            governor.record_success("shm-publish")
-            try:
-                shards = map_with_state(
-                    _run_shard,
-                    tasks,
-                    executor="process",
-                    max_workers=n_shards,
-                    init_fn=_attach_state,
-                    payload=(shared.manifest, params.as_dict()),
-                )
-            finally:
-                shared.close()
-                shared.unlink()
-            return [outcome for shard in shards for outcome in shard]
-    return run_colonies_batch(problem, params, seeds)
-
-
 def colonies_aco_layering(
     graph: DiGraph,
     params: ACOParams | None = None,
     *,
     n_colonies: int = 4,
-    max_workers: int | None = None,
 ):
-    """Run *n_colonies* colonies through the shared-memory runtime.
+    """Run *n_colonies* colonies through the lockstep runtime.
 
     The drop-in ``executor="colonies"`` back end of
     :func:`repro.aco.parallel.parallel_aco_layering`: same seed derivation,
     same result type, same best-colony selection — but the problem is built
-    once, the tours run as lockstep batches, and (on multi-core machines,
-    when ``params.exchange_every == 0``) the colonies are sharded over
-    processes that attach the problem arrays zero-copy.
+    once and the tours run as one in-process lockstep batch whose walks the
+    kernel spreads over its threads.
 
     Returns a :class:`repro.aco.parallel.ParallelAcoResult`.
     """
@@ -591,17 +294,8 @@ def colonies_aco_layering(
     seeds = _derive_colony_seeds(params.seed, n_colonies)
     problem = LayeringProblem.from_graph(graph, nd_width=params.nd_width)
 
-    workers = effective_workers(max_workers, n_colonies)
-    if workers > 1 and n_colonies > 1 and params.exchange_every == 0:
-        outcomes = _run_sharded(problem, params, seeds, workers)
-    else:
-        # Pheromone exchange couples the colonies, so it always runs as one
-        # in-process batch.
-        outcomes = run_colonies_batch(problem, params, seeds)
-    outcomes.sort(key=lambda o: o.colony_index)
-
     summaries = []
-    for outcome in outcomes:
+    for outcome in run_colonies_batch(problem, params, seeds):
         layering = problem.assignment_to_layering(outcome.assignment, normalize=True)
         metrics = evaluate_layering(graph, layering, nd_width=params.nd_width)
         summaries.append(
@@ -624,165 +318,45 @@ def colonies_aco_layering(
 # cross-graph packed execution
 # ---------------------------------------------------------------------- #
 
-#: The flat arrays of a PackedProblems that travel through shared memory.
-#: CSR-only, like _SHARED_ARRAYS: the lazy padded stacks never cross.
-_PACKED_ARRAYS = (
-    "n_vertices_per",
-    "n_layers_per",
-    "vert_offset",
-    "indptr_offset",
-    "succ_indptr",
-    "succ_indices",
-    "pred_indptr",
-    "pred_indices",
-    "out_degree",
-    "in_degree",
-    "widths",
-    "initial_assignment",
-    "init_real",
-    "init_crossing",
-    "init_occupancy",
-)
-
-
-def publish_packed(packed: PackedProblems) -> SharedProblem:
-    """Copy a pack's flat arrays into one shared-memory block.
-
-    The packed twin of :func:`publish_problem`: one block carries the
-    block-diagonal CSR and initial-state arrays of *every* graph in the
-    pack, so worker processes sharding the pack attach the whole corpus
-    slice zero-copy.
-    """
-    arrays = {
-        name: np.ascontiguousarray(getattr(packed, name)) for name in _PACKED_ARRAYS
-    }
-    layout, shm = _publish_arrays(arrays)
-    manifest = {
-        "shm_name": shm.name,
-        "arrays": layout,
-        "packed": True,
-        "n_graphs": packed.n_graphs,
-        "nd_width": packed.nd_width,
-        "max_n_vertices": packed.max_n_vertices,
-        "max_n_cols": packed.max_n_cols,
-        "lpl_heights": [p.lpl_height for p in packed.problems],
-    }
-    return SharedProblem(manifest=manifest, shm=shm)
-
-
-def attach_packed(
-    manifest: dict[str, Any]
-) -> tuple[PackedProblems, shared_memory.SharedMemory]:
-    """Rebuild a worker-side :class:`PackedProblems` over the shared block.
-
-    The pack-level arrays are zero-copy views; the per-graph
-    :class:`LayeringProblem` instances are re-materialised from slices of
-    those views (``graph`` is ``None`` — labels stay in the parent).
-    """
-    views, shm = _attach_views(manifest)
-    try:
-        packed = _rebuild_packed(manifest, views)
-    except BaseException:
-        # Same leak guard as attach_problem: a manifest whose later arrays
-        # fail to map must not leave the mapping referenced.
-        views = None
-        shm.close()
-        raise
-    return packed, shm
-
-
-def _rebuild_packed(
-    manifest: dict[str, Any], views: dict[str, np.ndarray]
-) -> PackedProblems:
-    """Materialise the worker-side :class:`PackedProblems` from mapped views."""
-    nd_width = manifest["nd_width"]
-    lpl_heights = manifest["lpl_heights"]
-
-    vert_offset = views["vert_offset"]
-    indptr_offset = views["indptr_offset"]
-    problems: list[LayeringProblem] = []
-    for g in range(manifest["n_graphs"]):
-        n = int(views["n_vertices_per"][g])
-        vo = int(vert_offset[g])
-        io = int(indptr_offset[g])
-        succ_indptr = views["succ_indptr"][io : io + n + 1] - views["succ_indptr"][io]
-        pred_indptr = views["pred_indptr"][io : io + n + 1] - views["pred_indptr"][io]
-        s0 = int(views["succ_indptr"][io])
-        p0 = int(views["pred_indptr"][io])
-        succ_indices = views["succ_indices"][s0 : s0 + int(succ_indptr[-1])]
-        pred_indices = views["pred_indices"][p0 : p0 + int(pred_indptr[-1])]
-        succ = [piece.tolist() for piece in np.split(succ_indices, succ_indptr[1:-1])]
-        pred = [piece.tolist() for piece in np.split(pred_indices, pred_indptr[1:-1])]
-        out_degree = views["out_degree"][vo : vo + n]
-        problems.append(
-            LayeringProblem(
-                graph=None,  # type: ignore[arg-type] — labels stay in the parent
-                vertices=list(range(n)),
-                n_vertices=n,
-                n_layers=int(views["n_layers_per"][g]),
-                succ=succ,
-                pred=pred,
-                succ_indptr=succ_indptr,
-                succ_indices=succ_indices,
-                pred_indptr=pred_indptr,
-                pred_indices=pred_indices,
-                edge_src=np.repeat(np.arange(n, dtype=np.int64), out_degree),
-                edge_dst=succ_indices,
-                out_degree=out_degree,
-                in_degree=views["in_degree"][vo : vo + n],
-                widths=views["widths"][vo : vo + n],
-                nd_width=nd_width,
-                initial_assignment=views["initial_assignment"][g, :n],
-                lpl_height=int(lpl_heights[g]),
-            )
-        )
-
-    return PackedProblems(
-        problems=problems,
-        n_vertices_per=views["n_vertices_per"],
-        n_layers_per=views["n_layers_per"],
-        vert_offset=vert_offset,
-        indptr_offset=indptr_offset,
-        succ_indptr=views["succ_indptr"],
-        succ_indices=views["succ_indices"],
-        pred_indptr=views["pred_indptr"],
-        pred_indices=views["pred_indices"],
-        out_degree=views["out_degree"],
-        in_degree=views["in_degree"],
-        widths=views["widths"],
-        nd_width=nd_width,
-        max_n_vertices=manifest["max_n_vertices"],
-        max_n_cols=manifest["max_n_cols"],
-        initial_assignment=views["initial_assignment"],
-        init_real=views["init_real"],
-        init_crossing=views["init_crossing"],
-        init_occupancy=views["init_occupancy"],
-    )
-
-
-def _run_packed_range(
+def run_packed_colonies(
     packed: PackedProblems,
     params: ACOParams,
     seeds_per_graph: Sequence[Sequence[int]],
-    graph_ids: Sequence[int],
 ) -> list[list[ColonyOutcome]]:
-    """Run the colonies of the selected pack graphs in one lockstep loop.
+    """Run every graph's colonies through the cross-graph lockstep runtime.
+
+    Parameters
+    ----------
+    packed: the problem pack (see :meth:`PackedProblems.pack`).
+    params: shared algorithm parameters (one :class:`MethodSpec`'s worth —
+        the experiment engine's batch planner only packs cells with
+        identical specs).
+    seeds_per_graph: one colony-seed list per pack graph — ``[params.seed]``
+        for a plain single-colony cell, the derived portfolio seeds for
+        ``n_colonies > 1`` cells.
 
     Every tour is a single :func:`run_walks_packed` call sweeping
-    ``Σ_g n_colonies_g × n_ants`` walks across all selected graphs; each
-    graph keeps its own generators, pheromone matrices, deposit scale and
-    best-tracking, consumed in exactly the per-graph order, so the outcomes
-    are bit-identical to running each graph through
-    :func:`run_colonies_batch` (and therefore to the single-colony
-    :class:`~repro.aco.colony.AntColony`) on its own.
+    ``Σ_g n_colonies_g × n_ants`` walks across the whole pack, spread over
+    the walk kernel's threads.  Each graph keeps its own generators,
+    pheromone matrices, deposit scale and best-tracking, consumed in exactly
+    the per-graph order, so the outcomes are bit-identical to running each
+    graph through :func:`run_colonies_batch` (and therefore to the
+    single-colony :class:`~repro.aco.colony.AntColony`) on its own.
+
+    Returns one ``list[ColonyOutcome]`` per graph, in pack order.
     """
+    if len(seeds_per_graph) != packed.n_graphs:
+        raise ValidationError(
+            f"need one seed list per graph: {packed.n_graphs} graphs, "
+            f"{len(seeds_per_graph)} seed lists"
+        )
     problems = packed.problems
     if params.engine == "python":
         # The per-vertex reference engine has no batching win; delegate to
         # the single-graph loop, which already pins bit-identity to the ants.
         return [
-            run_colonies_batch(problems[g], params, seeds_per_graph[g])
-            for g in graph_ids
+            run_colonies_batch(problem, params, seeds)
+            for problem, seeds in zip(problems, seeds_per_graph)
         ]
 
     n_ants = params.n_ants
@@ -790,16 +364,14 @@ def _run_packed_range(
     max_cols = packed.max_n_cols
     nd_width = packed.nd_width
 
-    counts = [len(seeds_per_graph[g]) for g in graph_ids]
-    mat_graph = np.repeat(np.asarray(graph_ids, dtype=np.int64), counts)
+    counts = [len(seeds) for seeds in seeds_per_graph]
+    mat_graph = np.repeat(np.arange(packed.n_graphs, dtype=np.int64), counts)
     n_matrices = int(mat_graph.shape[0])
     walk_matrix = np.repeat(np.arange(n_matrices, dtype=np.int64), n_ants)
     walk_graph = mat_graph[walk_matrix]
     n_walks = n_matrices * n_ants
 
-    rngs = [
-        as_generator(seed) for g in graph_ids for seed in seeds_per_graph[g]
-    ]
+    rngs = [as_generator(seed) for seeds in seeds_per_graph for seed in seeds]
 
     # One zero-padded pheromone matrix per colony, stacked contiguously so
     # the kernel reads trails through the per-walk tau_index and evaporation
@@ -816,8 +388,7 @@ def _run_packed_range(
     # Per-graph initial scores and deposit normalisation (AntColony protocol).
     initial_scores: dict[int, AssignmentScore] = {}
     deposit_scale: dict[int, float] = {}
-    for g in graph_ids:
-        p = problems[g]
+    for g, p in enumerate(problems):
         c = p.n_layers + 1
         base = LayerWidths(
             p,
@@ -939,8 +510,7 @@ def _run_packed_range(
 
     outcomes: list[list[ColonyOutcome]] = []
     start = 0
-    for gi, g in enumerate(graph_ids):
-        count = counts[gi]
+    for g, count in enumerate(counts):
         n_g = problems[g].n_vertices
         outcomes.append(
             [
@@ -957,105 +527,13 @@ def _run_packed_range(
     return outcomes
 
 
-def _attach_packed_state(payload: tuple[dict[str, Any], dict[str, Any]]):
-    """Pool initializer: attach the shared pack once per worker."""
-    manifest, params_dict = payload
-    packed, shm = attach_packed(manifest)
-    return packed, ACOParams(**params_dict), shm
-
-
-def _run_packed_shard(
-    state, graph_ids: list[int], seeds: dict[int, list[int]]
-) -> list[tuple[int, list[ColonyOutcome]]]:
-    """Worker entry point: run one contiguous graph range of the pack."""
-    packed, params, _shm = state
-    seeds_per_graph: list[Sequence[int]] = [()] * packed.n_graphs
-    for g, colony_seeds in seeds.items():
-        seeds_per_graph[g] = colony_seeds
-    results = _run_packed_range(packed, params, seeds_per_graph, graph_ids)
-    return list(zip(graph_ids, results))
-
-
-def run_packed_colonies(
-    packed: PackedProblems,
-    params: ACOParams,
-    seeds_per_graph: Sequence[Sequence[int]],
-    *,
-    max_workers: int | None = None,
-) -> list[list[ColonyOutcome]]:
-    """Run every graph's colonies through the cross-graph lockstep runtime.
-
-    Parameters
-    ----------
-    packed: the problem pack (see :meth:`PackedProblems.pack`).
-    params: shared algorithm parameters (one :class:`MethodSpec`'s worth —
-        the experiment engine's batch planner only packs cells with
-        identical specs).
-    seeds_per_graph: one colony-seed list per pack graph — ``[params.seed]``
-        for a plain single-colony cell, the derived portfolio seeds for
-        ``n_colonies > 1`` cells.
-    max_workers: worker cap; on multi-core machines the pack's graphs are
-        sharded over processes that attach the published pack arrays
-        zero-copy (pheromone exchange couples only colonies of the *same*
-        graph, so graph sharding is always safe).
-
-    Returns one ``list[ColonyOutcome]`` per graph, in pack order —
-    bit-identical to running each graph on its own for a fixed seed.
-    """
-    if len(seeds_per_graph) != packed.n_graphs:
-        raise ValidationError(
-            f"need one seed list per graph: {packed.n_graphs} graphs, "
-            f"{len(seeds_per_graph)} seed lists"
-        )
-    n_graphs = packed.n_graphs
-    workers = effective_workers(max_workers, n_graphs)
-    if workers <= 1 or n_graphs <= 1:
-        return _run_packed_range(packed, params, seeds_per_graph, list(range(n_graphs)))
-
-    bounds = np.linspace(0, n_graphs, workers + 1).astype(int)
-    tasks = []
-    for s in range(workers):
-        graph_ids = list(range(int(bounds[s]), int(bounds[s + 1])))
-        if graph_ids:
-            tasks.append(
-                (graph_ids, {g: list(seeds_per_graph[g]) for g in graph_ids})
-            )
-    governor = resources.governor()
-    if not governor.allow("shm-publish"):
-        return _run_packed_range(packed, params, seeds_per_graph, list(range(n_graphs)))
-    try:
-        shared = publish_packed(packed)
-    except OSError as exc:
-        # /dev/shm full (ENOSPC) or otherwise unusable: degrade to one
-        # in-process sweep — bit-identical, just not process-sharded.
-        governor.record_failure("shm-publish", f"{type(exc).__name__}: {exc}")
-        return _run_packed_range(packed, params, seeds_per_graph, list(range(n_graphs)))
-    governor.record_success("shm-publish")
-    try:
-        shards = map_with_state(
-            _run_packed_shard,
-            tasks,
-            executor="process",
-            max_workers=len(tasks),
-            init_fn=_attach_packed_state,
-            payload=(shared.manifest, params.as_dict()),
-        )
-    finally:
-        shared.close()
-        shared.unlink()
-    by_graph = {g: outcome for shard in shards for g, outcome in shard}
-    return [by_graph[g] for g in range(n_graphs)]
-
-
 def prewarm(*, n_vertices: int = 6, seed: int = 0) -> None:
     """Warm the packed-colony runtime before serving traffic.
 
-    Runs one tiny pack end to end — problem build, shared-memory
-    publish/attach round trip, a short lockstep colony run — so the first
-    real megabatch pays none of the lazy initialisation costs (native
-    kernel library load, NumPy buffer pools, shm segment bookkeeping).
-    Milliseconds of work, and side-effect free: the published block is
-    closed and unlinked before returning.
+    Runs one tiny pack end to end — problem build, packing, a short lockstep
+    colony run — so the first real megabatch pays none of the lazy
+    initialisation costs (native kernel library load, NumPy buffer pools).
+    Milliseconds of work, and side-effect free.
     """
     graph = DiGraph()
     for v in range(n_vertices):
@@ -1067,15 +545,4 @@ def prewarm(*, n_vertices: int = 6, seed: int = 0) -> None:
         graph.add_edge(0, n_vertices - 1)
     params = ACOParams(n_ants=2, n_tours=1, seed=seed)
     problem = LayeringProblem.from_graph(graph, nd_width=params.nd_width)
-    packed = PackedProblems.pack([problem])
-    shared = publish_packed(packed)
-    try:
-        attached, shm = attach_packed(shared.manifest)
-        try:
-            run_packed_colonies(attached, params, [[seed]], max_workers=1)
-        finally:
-            attached = None
-            shm.close()
-    finally:
-        shared.close()
-        shared.unlink()
+    run_packed_colonies(PackedProblems.pack([problem]), params, [[seed]])

@@ -22,10 +22,6 @@ Installed as the ``repro-dag`` console script (also reachable via
 ``cache``
     Inspect (``stats``) or bound (``prune --max-size/--older-than``) a
     result-cache directory.
-``clean``
-    Reclaim shared-memory blocks leaked by killed runs (sweeps the per-run
-    shm manifests; also runs automatically at the start of every
-    experiment run).
 ``serve``
     Run the layout service (:mod:`repro.serving`): an HTTP/JSON front end
     that answers repeat requests from the result cache, coalesces
@@ -36,13 +32,15 @@ The experiment sub-commands (``compare``, ``figures``, ``tune``) dispatch
 their (graph × algorithm) cells through the shared experiment engine
 (:mod:`repro.experiments.engine`): ``--executor process --jobs N`` spreads
 the cells over N worker processes, ``--executor colonies --colonies K``
-additionally runs every AntColony cell as a K-colony shared-memory
-portfolio (:mod:`repro.aco.runtime`), ``--executor batched [--batch-size N]``
-packs same-spec AntColony cells into cross-graph megabatches advanced by
-shared lockstep kernel sweeps (bit-identical results, the fast path for
+additionally runs every AntColony cell as a K-colony lockstep portfolio
+(:mod:`repro.aco.runtime`), ``--executor batched [--batch-size N]`` packs
+same-spec AntColony cells into cross-graph megabatches advanced by shared
+lockstep kernel sweeps (bit-identical results, the fast path for
 full-corpus runs on any machine), and ``--cache-dir DIR`` enables the
 content-addressed result cache so repeated runs over the same corpus and
-parameters are incremental.
+parameters are incremental.  ``--jobs`` caps the process-, thread- and
+colonies-executor pools only: batched packs run in-process, spread over the
+walk kernel's ``REPRO_ACO_THREADS`` threads.
 
 Full-corpus-scale runs add: ``compare --full`` (the paper's entire
 1277-graph corpus), fault isolation by default (a raising cell is recorded
@@ -52,9 +50,8 @@ and ``--run-dir DIR`` journaling every completed cell so an interrupted run
 finishes with ``--resume`` instead of restarting from zero.  Hardening on
 top: ``--timeout S`` bounds every cell by a deadline, ``--retries N``
 re-executes failed/timed-out/crashed cells, and SIGINT/SIGTERM tear down
-cleanly — the journal is flushed, published shared memory is released, and
-the exit message names the exact ``--resume`` invocation that finishes the
-run.
+cleanly — the journal is flushed and the exit message names the exact
+``--resume`` invocation that finishes the run.
 
 Graph files may be in the library's edge-list format (``.edgelist``, see
 :func:`repro.graph.io.write_edgelist`) or JSON (``.json``,
@@ -67,7 +64,6 @@ import argparse
 import contextlib
 import json
 import re
-import shutil
 import signal
 import sys
 import time
@@ -88,7 +84,7 @@ from repro.graph.io import read_edgelist, read_json, write_json
 from repro.layering.metrics import evaluate_layering
 from repro.sugiyama.pipeline import LAYERING_METHODS, sugiyama_layout
 from repro.sugiyama.render import render_ascii, render_svg
-from repro.utils import resources, shm_manifest
+from repro.utils import resources
 from repro.utils.exceptions import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -259,7 +255,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "how experiment cells are dispatched (default serial); 'colonies' "
             "dispatches like 'process' and pairs with --colonies to run every "
-            "AntColony cell through the shared-memory multi-colony runtime; "
+            "AntColony cell through the lockstep multi-colony runtime; "
             "'batched' packs same-spec AntColony cells into cross-graph "
             "megabatches advanced by shared lockstep kernel sweeps (identical "
             "results, one kernel call per tour per pack)"
@@ -269,7 +265,11 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="worker count for the pool executors (default: REPRO_JOBS or CPU count)",
+        help=(
+            "worker count for the process, thread and colonies executors "
+            "(default: REPRO_JOBS or CPU count); batched packs run "
+            "in-process on REPRO_ACO_THREADS kernel threads"
+        ),
     )
     parser.add_argument(
         "--batch-size",
@@ -288,7 +288,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         dest="n_colonies",
         help=(
             "run every AntColony cell as a portfolio of this many independent "
-            "colonies (shared-memory lockstep batch, best colony wins; default 1)"
+            "colonies (lockstep batch, best colony wins; default 1)"
         ),
     )
     parser.add_argument(
@@ -387,18 +387,9 @@ def _engine(args: argparse.Namespace):
     On exit — normal, interrupted or strict-failed — the progress line is
     finalised (the run summary always prints) and the journal handle is
     closed.  While the run is active SIGINT/SIGTERM are converted into a
-    clean teardown: the journal is flushed and closed, any shared-memory
-    blocks this process still has registered are released, and the error
-    message names the ``--resume`` invocation that finishes the run.  Stale
-    shm left behind by previously *killed* runs (SIGKILL skips teardown) is
-    swept before the engine starts.
+    clean teardown: the journal is flushed and closed, and the error message
+    names the ``--resume`` invocation that finishes the run.
     """
-    swept = shm_manifest.sweep()
-    if swept.blocks_reclaimed:
-        sys.stderr.write(
-            f"reclaimed {swept.blocks_reclaimed} shared-memory block(s) "
-            f"from {swept.manifests_removed} dead run(s)\n"
-        )
     reporter = _ProgressReporter(enabled=args.progress or sys.stderr.isatty())
     engine = ExperimentEngine.from_options(
         executor=args.executor,
@@ -444,11 +435,6 @@ def _engine(args: argparse.Namespace):
                 signal.signal(signum, handler)
             except (ValueError, TypeError):  # pragma: no cover
                 pass
-        released = shm_manifest.release_all()
-        if released:
-            sys.stderr.write(
-                f"released {released} shared-memory block(s) on teardown\n"
-            )
         reporter.finish()
         if engine.cache is not None:
             # The per-layer counters live on the in-process cache object, so
@@ -644,45 +630,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     )
     if result.quarantine_removed:
         print(f"removed {result.quarantine_removed} quarantined entries")
-    if older_than is not None:
-        # Age-bounded cache maintenance doubles as shm housekeeping: stale
-        # run manifests past the same cutoff are swept too.
-        shm = shm_manifest.sweep(older_than_seconds=older_than)
-        if shm.manifests_removed or shm.blocks_reclaimed:
-            print(
-                f"swept {shm.manifests_removed} stale shm manifests "
-                f"({shm.blocks_reclaimed} blocks reclaimed)"
-            )
-    return 0
-
-
-def _cmd_clean(args: argparse.Namespace) -> int:
-    older_than = (
-        _parse_duration(args.older_than) if args.older_than is not None else None
-    )
-    if args.free_below is not None and older_than is None:
-        # Free-space watermark: when the shm filesystem is below it, a
-        # stale-but-pid-alive manifest is worth more reclaimed than kept
-        # (pids recycle), so escalate to an age-0 sweep-everything pass.
-        watermark = _parse_size(args.free_below)
-        shm_root = Path("/dev/shm")
-        probe = shm_root if shm_root.is_dir() else shm_manifest.manifest_dir()
-        try:
-            free = shutil.disk_usage(probe).free
-        except OSError:
-            free = None
-        if free is not None and free < watermark:
-            print(
-                f"free space under {probe} is {_format_bytes(free)} "
-                f"(< {_format_bytes(watermark)}): sweeping all stale manifests"
-            )
-            older_than = 0.0
-    result = shm_manifest.sweep(older_than_seconds=older_than)
-    print(
-        f"swept {result.manifests_removed} stale run manifests; "
-        f"reclaimed {result.blocks_reclaimed} shared-memory blocks "
-        f"(manifest dir: {shm_manifest.manifest_dir()})"
-    )
     return 0
 
 
@@ -700,7 +647,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         crash_retries=args.crash_retries,
         drain_timeout_s=args.drain_timeout,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
         prewarm=not args.no_prewarm,
         exit_on_drain_timeout=True,
         memory_budget=(
@@ -832,29 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache_prune.set_defaults(func=_cmd_cache)
 
-    p_clean = sub.add_parser(
-        "clean",
-        help="reclaim shared-memory blocks leaked by killed runs",
-    )
-    p_clean.add_argument(
-        "--older-than",
-        default=None,
-        help=(
-            "also sweep manifests older than this even if a process with "
-            "the recorded pid is still alive (pids recycle), e.g. 12h, 7d"
-        ),
-    )
-    p_clean.add_argument(
-        "--free-below",
-        default=None,
-        help=(
-            "shm free-space watermark, e.g. 256M: when /dev/shm has less "
-            "free space than this, sweep every stale manifest regardless "
-            "of pid liveness (implied --older-than 0)"
-        ),
-    )
-    p_clean.set_defaults(func=_cmd_clean)
-
     p_serve = sub.add_parser(
         "serve",
         help="run the layout service (HTTP/JSON, megabatching, graceful drain)",
@@ -897,7 +820,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="SIGTERM grace window before the hard-kill fallback (default 10)",
     )
     p_serve.add_argument("--cache-dir", help="result-cache directory shared with CLI runs")
-    p_serve.add_argument("--jobs", type=int, help="engine worker cap (default: REPRO_JOBS/CPUs)")
+    p_serve.add_argument(
+        "--jobs",
+        type=int,
+        help=(
+            "ignored: packs run in-process on REPRO_ACO_THREADS kernel "
+            "threads (accepted for compatibility)"
+        ),
+    )
     p_serve.add_argument(
         "--memory-budget",
         default=None,

@@ -20,8 +20,12 @@ This module provides the one dispatcher they all share:
   fourth executor name, ``"colonies"``, dispatches cells like ``"process"``
   and exists so experiment commands advertise the multi-colony runtime:
   Ant Colony specs carrying ``n_colonies > 1`` run each cell as a
-  shared-memory colony portfolio (:mod:`repro.aco.runtime`), batching all
-  colonies' ants into lockstep kernel calls inside the worker.
+  lockstep colony portfolio (:mod:`repro.aco.runtime`), batching all
+  colonies' ants into lockstep kernel calls inside the worker.  The
+  ``"batched"`` executor packs Ant Colony cells across graphs and runs each
+  pack in-process; its only parallelism is the walk kernel's
+  ``REPRO_ACO_THREADS`` threads, so ``jobs`` caps the process/thread
+  executors alone.
 
 Full-corpus-scale lifecycle (the paper's evaluation is 1277 graphs × 5
 algorithms ≈ 6400 cells, minutes of wall-clock):
@@ -138,7 +142,7 @@ __all__ = [
 
 #: Executor names accepted by the engine: the generic pool back ends,
 #: ``"colonies"`` (dispatches cells like ``"process"`` and signals that
-#: multi-colony Ant Colony specs should use the shared-memory runtime) and
+#: multi-colony Ant Colony specs should use the lockstep colony runtime) and
 #: ``"batched"`` (cross-graph megabatching: pending Ant Colony cells with
 #: identical specs are packed and advanced through shared lockstep kernel
 #: sweeps, see :mod:`repro.aco.runtime`).
@@ -188,7 +192,7 @@ class MethodSpec:
     * an **Ant Colony** — ``aco_params`` holds the full ``ACOParams`` field
       dictionary (seed included, so the spec is deterministic);
       ``n_colonies > 1`` turns the cell into a multi-colony portfolio run
-      through the shared-memory runtime (:mod:`repro.aco.runtime`), keeping
+      through the lockstep colony runtime (:mod:`repro.aco.runtime`), keeping
       the best colony's layering;
     * a **callable** — ``func`` wraps an arbitrary in-process algorithm.
       Not shippable to process-pool workers and never cached (its behaviour
@@ -224,7 +228,7 @@ class MethodSpec:
         """Spec for the Ant Colony with explicit parameters (default: paper config, seed 0).
 
         ``n_colonies > 1`` runs every cell as an independent-colony portfolio
-        through the shared-memory colony runtime and keeps the best layering.
+        through the lockstep colony runtime and keeps the best layering.
         """
         if n_colonies < 1:
             raise ValidationError(f"n_colonies must be >= 1, got {n_colonies}")
@@ -258,15 +262,8 @@ class MethodSpec:
             params = ACOParams(**dict(self.aco_params))
             if self.n_colonies > 1:
                 n_colonies = self.n_colonies
-                # max_workers=1 keeps the portfolio as one in-process
-                # lockstep batch — cells may already be running inside
-                # process-pool workers, which must not spawn grandchildren.
                 return lambda g: parallel_aco_layering(
-                    g,
-                    params,
-                    n_colonies=n_colonies,
-                    executor="colonies",
-                    max_workers=1,
+                    g, params, n_colonies=n_colonies, executor="colonies"
                 ).layering
             return lambda g: aco_layering(g, params)
         if self.name in BUILTIN_METHODS:
@@ -318,7 +315,7 @@ def default_method_specs(
     defaults, but the Ant Colony parameters travel declaratively so every
     entry can be dispatched to process-pool workers and cached.
     ``n_colonies > 1`` upgrades the Ant Colony entry to a multi-colony
-    portfolio run through the shared-memory runtime.
+    portfolio run through the lockstep colony runtime.
     """
     specs = {name: MethodSpec.builtin(name) for name in BUILTIN_METHODS}
     if include_aco:
@@ -573,8 +570,10 @@ class ExperimentEngine:
         ``"colonies"`` (process-style dispatch; pair with multi-colony
         Ant Colony specs, see :meth:`MethodSpec.ant_colony`).
     jobs:
-        Worker cap for the pool back ends (default: ``REPRO_JOBS`` or the
-        CPU count, clamped to the pending cell count).
+        Worker cap for the ``"process"``, ``"thread"`` and ``"colonies"``
+        pools (default: ``REPRO_JOBS`` or the CPU count, clamped to the
+        pending cell count).  The ``"batched"`` executor ignores it: packs
+        run in-process on the walk kernel's ``REPRO_ACO_THREADS`` threads.
     cache:
         Optional :class:`~repro.experiments.cache.ResultCache`; cacheable
         cells found in it are returned without recomputation
@@ -1266,9 +1265,7 @@ class ExperimentEngine:
 
         def run_pack():
             packed = PackedProblems.pack(problems)
-            return run_packed_colonies(
-                packed, params, seeds_per_graph, max_workers=self.jobs
-            )
+            return run_packed_colonies(packed, params, seeds_per_graph)
 
         try:
             if self.cell_timeout is None:

@@ -307,6 +307,16 @@ def att_like_dag(
     for d in range(max_depth + 1):
         if not np.any(depths == d):
             depths[int(rng.integers(0, n))] = d
+    # That fix-up can take the only vertex of a level it already filled.
+    # Refill such a level from the levels that can spare a vertex; seeds
+    # whose levels are all populated draw nothing more here.
+    counts = np.bincount(depths, minlength=max_depth + 1)
+    for d in np.flatnonzero(counts == 0):
+        donors = np.flatnonzero(counts[depths] >= 2)
+        v = int(donors[rng.integers(0, len(donors))])
+        counts[depths[v]] -= 1
+        depths[v] = d
+        counts[d] += 1
     by_depth: dict[int, list[int]] = {d: [] for d in range(int(depths.max()) + 1)}
     for v in range(n):
         by_depth[int(depths[v])].append(v)

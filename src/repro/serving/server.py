@@ -26,9 +26,12 @@ Robustness contract (see README "Serving"):
   :attr:`ServeConfig.crash_retries` times; exceptions and timeouts answer
   immediately with a correctly-labelled error body.
 * **Graceful drain.**  SIGTERM/SIGINT stops accepting connections,
-  answers queued requests ``503``, lets the in-flight pack finish,
-  releases this run's shared-memory manifests and exits 0 — with a
-  hard-kill fallback after :attr:`ServeConfig.drain_timeout_s`.
+  answers queued requests ``503``, lets the in-flight pack finish and
+  exits 0 — with a hard-kill fallback after
+  :attr:`ServeConfig.drain_timeout_s`.
+
+Packs run in-process on the batch worker thread; their only parallelism is
+the walk kernel's ``REPRO_ACO_THREADS`` threads, so the server never forks.
 
 ``REPRO_CHAOS`` rules target request cells by ``method:name`` exactly as
 they target CLI cells, because the request path *is* the engine path.
@@ -61,7 +64,7 @@ from repro.experiments.engine import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.io import from_json_dict
-from repro.utils import resources, shm_manifest
+from repro.utils import resources
 from repro.utils.exceptions import ReproError, ValidationError
 
 from repro.serving.http import (
@@ -118,8 +121,6 @@ class ServeConfig:
     drain_timeout_s: float = 10.0
     #: Result-cache directory shared with CLI runs (``None``: memory only).
     cache_dir: str | None = None
-    #: Worker cap forwarded to the engine (``None``: REPRO_JOBS / CPUs).
-    jobs: int | None = None
     #: Largest accepted request body in bytes.
     max_body_bytes: int = 32 * 1024 * 1024
     #: Per-pack working-set budget in bytes (``--memory-budget``).  Requests
@@ -356,10 +357,9 @@ class LayoutServer:
         self._install_signal_handlers(loop)
         self._batcher = loop.create_task(self._batch_loop())
         if self.config.prewarm:
-            # Warm the packed-colony runtime (native kernels, shm round
-            # trip) off-loop so the first real megabatch pays no lazy
-            # initialisation cost.  Failure is non-fatal: the pure-Python
-            # engine path still serves.
+            # Warm the packed-colony runtime (native kernel load) off-loop
+            # so the first real megabatch pays no lazy initialisation cost.
+            # Failure is non-fatal: the pure-Python engine path still serves.
             try:
                 await loop.run_in_executor(self._worker, _prewarm_runtime)
             except Exception:
@@ -433,8 +433,7 @@ class LayoutServer:
             return
         if self.config.exit_on_drain_timeout:
             # The in-flight pack refused to die within the grace window;
-            # abandon everything.  The shm sweep on next start reclaims
-            # whatever this leaves behind.
+            # abandon everything.
             os._exit(1)
         if self._loop is not None:
             self._loop.create_task(self._shutdown(1, force=True))
@@ -458,7 +457,6 @@ class LayoutServer:
             writer.close()
         if self._worker is not None:
             self._worker.shutdown(wait=False, cancel_futures=force)
-        shm_manifest.release_all()
         if self._tmp_cache_dir is not None:
             try:
                 self._tmp_cache_dir.cleanup()
@@ -709,7 +707,6 @@ class LayoutServer:
             batch_size=self.config.batch_size,
             cache=self._cache,
             cell_timeout=cell_timeout,
-            jobs=self.config.jobs,
             memory_budget=self.config.memory_budget,
         )
         self.counters.batches += 1

@@ -18,8 +18,8 @@ axis.  Three pillars share it:
   owns one breaker per rung of the degradation ladder (native kernel →
   NumPy, threaded walks → single thread, packed batched execution →
   per-cell serial, disk cache → memory-only, journal → best-effort, worker
-  respawn → in-parent serial, shared-memory publish → in-process).  Every
-  transition is logged to stderr exactly once per state change, recorded in
+  respawn → in-parent serial).  Every transition is logged to stderr
+  exactly once per state change, recorded in
   :attr:`ResourceGovernor.events` for run summaries and ``/stats``, and
   half-open probed after a cooldown so a recovered backend is promoted
   back.  Every degraded rung is bit-identical to the fast path — the
@@ -121,10 +121,11 @@ def estimate_pack_cost(
 ) -> CostEstimate:
     """Price the packed-runtime working set for *problems* run together.
 
-    The model mirrors the allocations :func:`repro.aco.runtime._run_packed_range`
-    actually makes — the zero-padded pheromone stack dominates, followed by
-    the per-walk assignment/score arrays and the CSR pack — using only
-    O(#problems) integer statistics, so the planner can call it on every
+    The model mirrors the allocations
+    :func:`repro.aco.runtime.run_packed_colonies` actually makes — the
+    zero-padded pheromone stack dominates, followed by the per-walk
+    assignment/score arrays and the CSR pack — using only O(#problems)
+    integer statistics, so the planner can call it on every
     candidate chunk without measurable cost.  It is an *estimate*: padding
     is priced at the pack's true ``max_n``/``max_cols``, but dummy-vertex
     growth from ``build()`` is approximated (see :func:`problem_stats`).
@@ -382,7 +383,6 @@ LADDER: dict[str, _Rung] = {
     "cache-disk": _Rung(1, 60.0, "memory-only result cache", "on-disk result cache"),
     "journal-disk": _Rung(1, 60.0, "best-effort journal (resume may recompute)", "durable run journal"),
     "respawn": _Rung(3, 30.0, "in-parent serial execution", "supervised pool respawn"),
-    "shm-publish": _Rung(1, 60.0, "in-process colony execution", "shared-memory colony sharding"),
 }
 
 

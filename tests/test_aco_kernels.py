@@ -278,11 +278,7 @@ class TestThreadedBitIdentity:
 
     @staticmethod
     def _require_thread_support(native: bool, threads: int):
-        if (
-            native
-            and threads > 1
-            and _native.thread_support() not in ("openmp", "pthreads")
-        ):
+        if native and threads > 1 and _native.thread_support() != "pthreads":
             pytest.skip("native kernel compiled without thread support")
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -388,7 +384,7 @@ class TestNativeBackend:
         assert isinstance(_native.native_status(), str)
 
     def test_thread_support_is_reported(self):
-        assert _native.thread_support() in ("openmp", "pthreads", "none", "unavailable")
+        assert _native.thread_support() in ("pthreads", "none", "unavailable")
 
     def test_supports_small_integer_exponents_only(self):
         for beta in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):

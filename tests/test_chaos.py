@@ -74,9 +74,8 @@ EXECUTORS = [
 
 
 @pytest.fixture(autouse=True)
-def _chaos_hygiene(monkeypatch, tmp_path):
-    """Isolated shm manifests, clean rule env, armed+released hang valve."""
-    monkeypatch.setenv("REPRO_SHM_MANIFEST_DIR", str(tmp_path / "shm-manifests"))
+def _chaos_hygiene(monkeypatch):
+    """Clean rule env, armed+released hang valve."""
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
     monkeypatch.delenv(chaos.FAIL_CELLS_ENV, raising=False)
     chaos.reset_hangs()

@@ -60,8 +60,7 @@ SMALL_COMPARE = [
 
 
 @pytest.fixture(autouse=True)
-def _chaos_hygiene(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_SHM_MANIFEST_DIR", str(tmp_path / "shm-manifests"))
+def _chaos_hygiene(monkeypatch):
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
     monkeypatch.delenv(chaos.FAIL_CELLS_ENV, raising=False)
     chaos.reset_hangs()
@@ -255,16 +254,6 @@ class TestDegradedRungBitIdentity:
         capsys.readouterr()
         degraded = _tables(
             capsys, [*SMALL_COMPARE, "--executor", "batched", "--jobs", "2"]
-        )
-        assert degraded == reference
-
-    @pytest.mark.slow
-    def test_shm_publish_rung_falls_back_in_process(self, capsys, reference):
-        resources.governor().trip("shm-publish", "test")
-        capsys.readouterr()
-        degraded = _tables(
-            capsys,
-            [*SMALL_COMPARE, "--executor", "colonies", "--jobs", "2"],
         )
         assert degraded == reference
 

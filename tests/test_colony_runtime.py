@@ -1,4 +1,4 @@
-"""Tests for the shared-memory multi-colony runtime and its satellites.
+"""Tests for the in-process multi-colony runtime and its satellites.
 
 The load-bearing contract is seed stability: for a fixed seed the
 ``serial``, ``process`` and ``colonies`` executors of
@@ -9,18 +9,11 @@ bit-identical to running the colonies independently.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.aco.parallel import parallel_aco_layering
 from repro.aco.params import ACOParams
-from repro.aco.problem import LayeringProblem
-from repro.aco.runtime import (
-    attach_problem,
-    colonies_aco_layering,
-    publish_problem,
-    run_colonies_batch,
-)
+from repro.aco.runtime import colonies_aco_layering
 from repro.experiments.engine import ExperimentEngine, MethodSpec, WorkUnit
 from repro.graph.generators import att_like_dag
 from repro.utils.exceptions import ValidationError
@@ -63,17 +56,6 @@ class TestSeedStability:
         serial = parallel_aco_layering(g, params, n_colonies=3, executor="serial")
         colonies = parallel_aco_layering(g, params, n_colonies=3, executor="colonies")
         assert _colony_view(colonies) == _colony_view(serial)
-
-    def test_forced_sharding_matches_serial(self):
-        # max_workers > 1 forces the shared-memory process shards even on a
-        # single-CPU machine.
-        g = att_like_dag(22, seed=13)
-        serial = parallel_aco_layering(g, FAST, n_colonies=4, executor="serial")
-        sharded = parallel_aco_layering(
-            g, FAST, n_colonies=4, executor="colonies", max_workers=2
-        )
-        assert sharded.layering == serial.layering
-        assert _colony_view(sharded) == _colony_view(serial)
 
     @pytest.mark.slow
     def test_all_executors_agree(self):
@@ -123,8 +105,8 @@ class TestExchange:
         assert _colony_view(again) == _colony_view(independent)
 
     def test_exchange_forces_single_batch(self):
-        # With exchange enabled the runtime must not shard (colonies are
-        # coupled); this just pins that the call succeeds with max_workers>1.
+        # Exchange couples the colonies of the single in-process batch; the
+        # colonies back end accepts (and ignores) a max_workers cap.
         g = att_like_dag(15, seed=17)
         result = parallel_aco_layering(
             g,
@@ -134,47 +116,6 @@ class TestExchange:
             max_workers=4,
         )
         result.layering.validate(g)
-
-
-class TestSharedMemory:
-    def test_publish_attach_roundtrip(self):
-        g = att_like_dag(30, seed=18)
-        problem = LayeringProblem.from_graph(g)
-        with publish_problem(problem) as shared:
-            attached, shm = attach_problem(shared.manifest)
-            for name in (
-                "succ_indptr", "succ_indices", "pred_indptr", "pred_indices",
-                "succ_pad", "pred_pad", "edge_src", "out_degree", "in_degree",
-                "widths", "initial_assignment",
-            ):
-                assert np.array_equal(getattr(problem, name), getattr(attached, name)), name
-            # The kernel path is CSR-only: the quadratic padded stacks are
-            # lazy per-process rebuilds and never travel through the block.
-            assert "succ_pad" not in shared.manifest["arrays"]
-            assert "pred_pad" not in shared.manifest["arrays"]
-            assert attached.succ == problem.succ
-            assert attached.pred == problem.pred
-            assert np.array_equal(attached.edge_dst, problem.edge_dst)
-            assert attached.n_layers == problem.n_layers
-            assert attached.nd_width == problem.nd_width
-            assert attached.lpl_height == problem.lpl_height
-            # The attached arrays are views into the block, not copies.
-            assert attached.succ_indptr.base is not None
-            del attached
-            shm.close()
-
-    def test_attached_problem_runs_colonies(self):
-        g = att_like_dag(20, seed=19)
-        problem = LayeringProblem.from_graph(g)
-        reference = run_colonies_batch(problem, FAST, [101, 202])
-        with publish_problem(problem) as shared:
-            attached, shm = attach_problem(shared.manifest)
-            outcomes = run_colonies_batch(attached, FAST, [101, 202])
-            del attached
-            shm.close()
-        assert [o.score for o in outcomes] == [o.score for o in reference]
-        for mine, theirs in zip(outcomes, reference):
-            assert np.array_equal(mine.assignment, theirs.assignment)
 
 
 class TestEngineIntegration:
@@ -190,7 +131,7 @@ class TestEngineIntegration:
         g = att_like_dag(20, seed=20)
         spec = MethodSpec.ant_colony(FAST, n_colonies=3)
         layering = spec.resolve()(g)
-        direct = colonies_aco_layering(g, FAST, n_colonies=3, max_workers=1)
+        direct = colonies_aco_layering(g, FAST, n_colonies=3)
         assert layering == direct.layering
 
     def test_engine_accepts_colonies_executor(self):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.datasets.corpus import att_like_corpus
 from repro.graph.acyclicity import is_acyclic, longest_path_lengths
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -159,6 +163,35 @@ class TestAttLikeDag:
     def test_single_vertex(self):
         g = att_like_dag(1, seed=0)
         assert g.n_vertices == 1 and g.n_edges == 0
+
+    def test_level_fixup_keeps_every_level_populated(self):
+        # Here the level fix-up takes the only vertex of a level it already
+        # filled; without the repair the backbone edge has no target.
+        g = att_like_dag(10, seed=1274)
+        assert_valid_dag(g, 10)
+        depths = set(longest_path_lengths(g).values())
+        assert depths == set(range(max(depths) + 1))
+
+    def test_corpus_seed_zero_generates(self):
+        corpus = att_like_corpus(seed=0)
+        assert len(corpus) == 1277
+        assert all(is_acyclic(entry.graph) for entry in corpus)
+
+    def test_ten_vertex_seeds_never_raise(self):
+        for seed in range(2000):
+            assert att_like_dag(10, seed=seed).n_vertices == 10
+
+    def test_outputs_pinned(self):
+        # The level repair draws only for seeds that used to crash, so
+        # every other seed keeps generating exactly the same graph.
+        digest = hashlib.sha256()
+        for n in (10, 40):
+            for seed in range(100):
+                edges = sorted(att_like_dag(n, seed=seed).edges())
+                digest.update(json.dumps(edges).encode())
+        assert digest.hexdigest() == (
+            "b1ae16df6f0ab9ab239f707aaca2ae87375fb4dec958c52dc41d10d6cadd1269"
+        )
 
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):

@@ -15,12 +15,7 @@ import pytest
 
 from repro.aco.params import ACOParams
 from repro.aco.problem import LayeringProblem, PackedProblems
-from repro.aco.runtime import (
-    attach_packed,
-    publish_packed,
-    run_colonies_batch,
-    run_packed_colonies,
-)
+from repro.aco.runtime import run_colonies_batch, run_packed_colonies
 from repro.datasets.corpus import att_like_corpus
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import (
@@ -118,15 +113,6 @@ class TestPackedBitIdentity:
             for mine, theirs in zip(got, ref):
                 assert np.array_equal(mine.assignment, theirs.assignment)
 
-    def test_forced_sharding_identity(self):
-        problems = [LayeringProblem.from_graph(g) for g in _graphs()]
-        packed = PackedProblems.pack(problems)
-        seeds = [[FAST.seed]] * len(problems)
-        reference = run_packed_colonies(packed, FAST, seeds)
-        sharded = run_packed_colonies(packed, FAST, seeds, max_workers=2)
-        for ref, got in zip(reference, sharded):
-            assert [o.score for o in got] == [o.score for o in ref]
-
     def test_full_five_algorithm_comparison(self):
         corpus = att_like_corpus(graphs_per_group=1, vertex_counts=(10, 20, 30))
         specs = default_method_specs(aco_params=FAST)
@@ -156,48 +142,6 @@ class TestPackedProblems:
         b = LayeringProblem.from_graph(att_like_dag(10, seed=2), nd_width=0.5)
         with pytest.raises(ValidationError):
             PackedProblems.pack([a, b])
-
-    def test_publish_attach_roundtrip(self):
-        problems = [LayeringProblem.from_graph(g) for g in _graphs()]
-        packed = PackedProblems.pack(problems)
-        with publish_packed(packed) as shared:
-            attached, shm = attach_packed(shared.manifest)
-            for name in (
-                "n_vertices_per", "n_layers_per", "vert_offset", "indptr_offset",
-                "succ_indptr", "succ_indices", "pred_indptr", "pred_indices",
-                "succ_pad", "pred_pad", "out_degree", "in_degree", "widths",
-                "initial_assignment", "init_real", "init_crossing", "init_occupancy",
-            ):
-                assert np.array_equal(
-                    getattr(packed, name), getattr(attached, name)
-                ), name
-            # CSR-only block: the lazy padded stacks never cross the boundary.
-            assert "succ_pad" not in shared.manifest["arrays"]
-            assert "pred_pad" not in shared.manifest["arrays"]
-            assert attached.max_n_vertices == packed.max_n_vertices
-            assert attached.max_n_cols == packed.max_n_cols
-            for mine, theirs in zip(attached.problems, packed.problems):
-                assert mine.succ == theirs.succ
-                assert mine.pred == theirs.pred
-                assert mine.n_layers == theirs.n_layers
-                assert np.array_equal(mine.edge_src, theirs.edge_src)
-            # The pack-level arrays are views into the block, not copies.
-            assert attached.succ_indptr.base is not None
-            del attached
-            shm.close()
-
-    def test_attached_pack_runs_identically(self):
-        problems = [LayeringProblem.from_graph(g) for g in _graphs()[:3]]
-        packed = PackedProblems.pack(problems)
-        seeds = [[7], [8], [9]]
-        reference = run_packed_colonies(packed, FAST, seeds)
-        with publish_packed(packed) as shared:
-            attached, shm = attach_packed(shared.manifest)
-            outcomes = run_packed_colonies(attached, FAST, seeds)
-            del attached
-            shm.close()
-        for ref, got in zip(reference, outcomes):
-            assert [o.score for o in got] == [o.score for o in ref]
 
 
 class TestBatchedLifecycle:

@@ -9,6 +9,7 @@ and the crash-retry policy.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 
 import pytest
@@ -21,11 +22,6 @@ from repro.serving.server import _Pending
 from repro.utils.exceptions import ValidationError
 
 from serving_harness import DIAMOND, ServerHarness, layer_payload
-
-
-@pytest.fixture(autouse=True)
-def _shm_isolation(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_SHM_MANIFEST_DIR", str(tmp_path / "shm-manifests"))
 
 
 @pytest.fixture(scope="module")
@@ -361,3 +357,53 @@ class TestThreadEnvResolution:
             ValidationError, match="REPRO_ACO_THREADS must be an integer"
         ):
             asyncio.run(server.run())
+
+
+def _child_pids() -> set[int]:
+    """Live child processes of this test process."""
+    import glob
+    import multiprocessing
+
+    pids = {p.pid for p in multiprocessing.active_children()}
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path) as fh:
+            pids.update(int(pid) for pid in fh.read().split())
+    return pids
+
+
+class TestDefaultConfig:
+    def test_batched_misses_match_serial_reference(self, monkeypatch):
+        # The shipped defaults: REPRO_JOBS and REPRO_ACO_THREADS unset, so
+        # the walk kernel runs on every CPU and the prewarm runs it first.
+        import concurrent.futures
+
+        from repro.aco import ACOParams, aco_layering
+        from repro.graph.generators import att_like_dag
+        from repro.graph.io import to_json_dict
+        from repro.layering.metrics import evaluate_layering
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_ACO_THREADS", raising=False)
+        aco = {"n_ants": 4, "n_tours": 3, "seed": 0}
+        params = ACOParams(**aco)
+        graphs = {f"default-{seed}": att_like_dag(30, seed=seed) for seed in (41, 42, 43)}
+        reference = {
+            name: evaluate_layering(g, aco_layering(g, params)).as_dict()
+            for name, g in graphs.items()
+        }
+        payloads = [
+            layer_payload(name, graph=to_json_dict(g), aco=aco)
+            for name, g in graphs.items()
+        ]
+
+        before = _child_pids()
+        # A wide window so all the distinct misses share one megabatch.
+        with ServerHarness(ServeConfig(batch_window_s=0.5)) as h:
+            with concurrent.futures.ThreadPoolExecutor(len(payloads)) as pool:
+                outcomes = list(pool.map(h.layer, payloads))
+            stats = h.request("GET", "/stats")[1]
+        assert [status for status, _ in outcomes] == [200] * len(payloads)
+        assert {body["name"]: body["metrics"] for _, body in outcomes} == reference
+        assert stats["batched_cells"] == len(payloads)
+        assert stats["batches"] < len(payloads)
+        assert _child_pids() - before == set()

@@ -29,8 +29,7 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _chaos_hygiene(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_SHM_MANIFEST_DIR", str(tmp_path / "shm-manifests"))
+def _chaos_hygiene(monkeypatch):
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
     monkeypatch.delenv(chaos.FAIL_CELLS_ENV, raising=False)
     chaos.reset_hangs()
