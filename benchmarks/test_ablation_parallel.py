@@ -4,8 +4,8 @@ The paper frames each tour as emulating a parallel work environment for the
 ants; the natural coarse-grained parallelisation of the whole algorithm is to
 run independent colonies with different seeds and keep the best layering.
 This ablation quantifies the quality gain of a 4-colony portfolio over a
-single colony at equal per-colony budget (the wall-clock cost is what the
-process/thread back ends parallelise away on multi-core machines).
+single colony at equal per-colony budget (the portfolio sweeps all colonies'
+ants in one kernel call per tour, spread over the kernel's threads).
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ def test_ablation_parallel_colonies(benchmark, small_corpus, aco_params):
             single.append(
                 aco_layering_detailed(entry.graph, aco_params).metrics.objective
             )
-            result = parallel_aco_layering(
-                entry.graph, aco_params, n_colonies=4, executor="serial"
-            )
+            result = parallel_aco_layering(entry.graph, aco_params, n_colonies=4)
             multi.append(
                 evaluate_layering(
                     entry.graph, result.layering, nd_width=aco_params.nd_width

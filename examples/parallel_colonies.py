@@ -3,14 +3,12 @@
 
 Run with::
 
-    python examples/parallel_colonies.py [n_colonies] [executor]
+    python examples/parallel_colonies.py [n_colonies]
 
-where ``executor`` is ``colonies`` (default: the in-process runtime —
-one problem build, lockstep kernel calls across all colonies spread over
-the walk kernel's threads), ``process``, ``thread`` or ``serial``.  The script compares the single-colony result with the
-portfolio result and reports the wall-clock time of each, demonstrating the
-coarse-grained parallelisation that suits the algorithm on multi-core
-machines.
+The portfolio builds the problem once and sweeps every colony's ants in one
+kernel call per tour, spread over the walk kernel's threads.  The script
+compares the single-colony result with the portfolio result and reports the
+wall-clock time of each.
 """
 
 from __future__ import annotations
@@ -24,12 +22,11 @@ from repro.aco.parallel import parallel_aco_layering
 
 def main() -> None:
     n_colonies = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    executor = sys.argv[2] if len(sys.argv) > 2 else "colonies"
 
     graph = att_like_dag(100, seed=123)
     params = ACOParams(n_ants=10, n_tours=10, seed=7)
     print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges")
-    print(f"portfolio: {n_colonies} colonies via the {executor!r} back end\n")
+    print(f"portfolio: {n_colonies} colonies\n")
 
     start = time.perf_counter()
     single = aco_layering_detailed(graph, params)
@@ -41,9 +38,7 @@ def main() -> None:
     )
 
     start = time.perf_counter()
-    portfolio = parallel_aco_layering(
-        graph, params, n_colonies=n_colonies, executor=executor
-    )
+    portfolio = parallel_aco_layering(graph, params, n_colonies=n_colonies)
     portfolio_time = time.perf_counter() - start
     metrics = evaluate_layering(graph, portfolio.layering, nd_width=params.nd_width)
     print(

@@ -14,7 +14,7 @@ The package contains the full stack the paper depends on:
   metrics, and the baseline algorithms (Longest-Path, MinWidth, Promote
   Layering, Coffman–Graham, exact minimum-dummy layering);
 * :mod:`repro.aco` — the paper's contribution: the ACO layering algorithm,
-  plus a multi-process multi-colony driver;
+  plus multi-colony portfolios;
 * :mod:`repro.sugiyama` — the rest of the Sugiyama pipeline (cycle removal,
   crossing minimisation, coordinates, rendering) so layerings can be turned
   into actual drawings;
@@ -36,7 +36,6 @@ from repro.aco import (
     AcoLayeringResult,
     aco_layering,
     aco_layering_detailed,
-    colonies_aco_layering,
     parallel_aco_layering,
 )
 from repro.graph import (
@@ -90,7 +89,6 @@ __all__ = [
     "aco_layering",
     "aco_layering_detailed",
     "AcoLayeringResult",
-    "colonies_aco_layering",
     "parallel_aco_layering",
     # sugiyama
     "sugiyama_layout",

@@ -10,18 +10,18 @@ The public entry points are:
 * :class:`repro.aco.params.ACOParams` — every tunable knob (number of ants and
   tours, α, β, evaporation rate, initial pheromone, dummy-vertex width,
   selection rule);
-* :func:`repro.aco.parallel.parallel_aco_layering` — run several independent
-  colonies concurrently (processes, threads, or the in-process lockstep
-  runtime via ``executor="colonies"``) and keep the best layering;
-* :func:`repro.aco.runtime.colonies_aco_layering` — the lockstep
-  multi-colony runtime itself: one problem build, batched lockstep tours
-  across all colonies and optional periodic pheromone exchange
-  (``ACOParams(exchange_every=k)``).
+* :func:`repro.aco.parallel.parallel_aco_layering` — run a portfolio of
+  colonies with derived seeds (optionally exchanging pheromone,
+  ``ACOParams(exchange_every=k)``) and keep the best layering.
 
 Internally the algorithm follows the paper's two phases: an *initialisation
 phase* (LPL, stretching to ``|V|`` layers, pheromone/heuristic matrices) and a
 *layering phase* (tours of ant walks with dynamic heuristic information,
-evaporation and best-ant pheromone deposit).
+evaporation and best-ant pheromone deposit).  Every kernel run of the
+layering phase goes through one tour loop,
+:func:`repro.aco.runtime.run_packed_colonies`; ``ACOParams(engine="python")``
+runs :class:`~repro.aco.colony.AntColony`'s own per-vertex loop instead, the
+reference the tests compare against.
 """
 
 from repro.aco.analysis import (
@@ -35,13 +35,12 @@ from repro.aco.analysis import (
 from repro.aco.ant import Ant, AntSolution
 from repro.aco.colony import AntColony, ColonyResult, TourRecord
 from repro.aco.heuristic import LayerWidths, evaluate_assignment, evaluate_with_widths
-from repro.aco.kernels import evaluate_assignment_vectorized, run_tour_vectorized
+from repro.aco.kernels import evaluate_assignment_vectorized
 from repro.aco.layering_aco import AcoLayeringResult, aco_layering, aco_layering_detailed
 from repro.aco.parallel import parallel_aco_layering
 from repro.aco.params import ACOParams
 from repro.aco.pheromone import PheromoneMatrix
 from repro.aco.problem import LayeringProblem
-from repro.aco.runtime import colonies_aco_layering, run_colonies_batch
 
 __all__ = [
     "ACOParams",
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate_assignment",
     "evaluate_with_widths",
     "evaluate_assignment_vectorized",
-    "run_tour_vectorized",
     "Ant",
     "AntSolution",
     "AntColony",
@@ -61,8 +59,6 @@ __all__ = [
     "aco_layering",
     "aco_layering_detailed",
     "parallel_aco_layering",
-    "colonies_aco_layering",
-    "run_colonies_batch",
     # analysis
     "convergence_curve",
     "tours_to_convergence",

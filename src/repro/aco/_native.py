@@ -594,7 +594,8 @@ def run_walks_native(
     the same indirection across *graphs*: per-walk step counts, offsets into
     the packed degree/width and CSR ``indptr`` arrays, and per-walk layer
     counts (see :class:`repro.aco.problem.PackedProblems`).  ``None`` means
-    the uniform single-graph batch.
+    every walk covers all of one graph; :func:`repro.aco.kernels.run_walks_packed`,
+    the only caller, always passes them.
 
     *n_threads* fans the walk loop out over that many OS threads (resolved
     by :func:`effective_threads`); the result is byte-identical at any

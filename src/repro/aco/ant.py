@@ -15,11 +15,13 @@ ablation study.  After every assignment the ant updates its private copy of
 the layer widths (Algorithm 5) so the heuristic stays consistent with the
 partial solution, exactly as required by the dynamic-heuristic formulation.
 
-This module is the *per-vertex reference engine* (``ACOParams(engine=
-"python")``); the production path runs the same walk batched across ants in
-:mod:`repro.aco.kernels`.  Both engines share the randomness, scoring and
-selection protocol defined there and produce bit-identical solutions for a
-fixed seed.
+This module is the *per-vertex reference walk*: ``AntColony`` with
+``ACOParams(engine="python")`` runs it, and it is the independent oracle the
+tests hold every other path to.  The production path runs the same walk
+batched across ants (:func:`repro.aco.kernels.run_walks_packed`, driven by
+:func:`repro.aco.runtime.run_packed_colonies`).  Both share the randomness,
+scoring and selection protocol defined in :mod:`repro.aco.kernels` and
+produce bit-identical solutions for a fixed seed.
 """
 
 from __future__ import annotations

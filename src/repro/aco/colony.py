@@ -12,6 +12,13 @@ layering (the previous tour's best).  At the end of a tour:
 
 The colony additionally tracks the best solution seen across all tours, which
 is what :func:`repro.aco.layering_aco.aco_layering` ultimately returns.
+
+:class:`AntColony` runs that loop in two ways.  With ``engine="python"`` it
+keeps its own dense :class:`~repro.aco.pheromone.PheromoneMatrix` and walks
+every :class:`~repro.aco.ant.Ant` vertex by vertex: the independent
+reference the tests compare every other path against.  Otherwise it hands
+the problem to :func:`repro.aco.runtime.run_packed_colonies` as a pack of
+one, the tour loop every kernel run goes through.
 """
 
 from __future__ import annotations
@@ -23,30 +30,18 @@ import numpy as np
 
 from repro.aco.ant import Ant, AntSolution
 from repro.aco.heuristic import LayerWidths, evaluate_with_widths
-from repro.aco.kernels import run_tour_vectorized
 from repro.aco.params import ACOParams
 from repro.aco.pheromone import PheromoneMatrix
-from repro.aco.problem import LayeringProblem
+from repro.aco.problem import LayeringProblem, PackedProblems
+from repro.aco.runtime import TourRecord, run_packed_colonies
 from repro.utils.rng import as_generator
 
-#: When set (e.g. ``REPRO_ACO_DEBUG_WIDTHS=1``), the colony cross-checks the
-#: tour-best ant's incrementally maintained LayerWidths against a fresh
-#: from-scratch recomputation at every tour boundary.
+#: When set (e.g. ``REPRO_ACO_DEBUG_WIDTHS=1``), the reference loop
+#: cross-checks the tour-best ant's incrementally maintained LayerWidths
+#: against a fresh from-scratch recomputation at every tour boundary.
 _DEBUG_WIDTHS_ENV = "REPRO_ACO_DEBUG_WIDTHS"
 
 __all__ = ["TourRecord", "ColonyResult", "AntColony"]
-
-
-@dataclass(frozen=True)
-class TourRecord:
-    """Summary of one tour, kept for convergence analysis and tests."""
-
-    tour: int
-    best_objective: float
-    mean_objective: float
-    best_height: int
-    best_width: float
-    best_ant_id: int
 
 
 @dataclass
@@ -80,10 +75,16 @@ class AntColony:
         self.problem = problem
         self.params = params if params is not None else ACOParams()
         self.rng = rng if rng is not None else as_generator(self.params.seed)
-        self.pheromone = PheromoneMatrix(
-            problem.n_vertices, problem.n_layers, tau0=self.params.tau0
-        )
-        self.ants = [Ant(i, problem, self.params) for i in range(self.params.n_ants)]
+        # Only the reference loop owns a trail and ants: the kernel path
+        # allocates its trail inside run_packed_colonies, and a second dense
+        # n x (n + 1) matrix here would double a large graph's peak memory.
+        self.pheromone: PheromoneMatrix | None = None
+        self.ants: list[Ant] = []
+        if self.params.engine == "python":
+            self.pheromone = PheromoneMatrix(
+                problem.n_vertices, problem.n_layers, tau0=self.params.tau0
+            )
+            self.ants = [Ant(i, problem, self.params) for i in range(self.params.n_ants)]
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -92,14 +93,34 @@ class AntColony:
     def run(self, *, n_tours: int | None = None) -> ColonyResult:
         """Execute the tours and return the best layering found.
 
+        Every call is a fresh layering phase: it starts from the initial
+        trail ``τ0`` and the stretched-LPL layering, and only the generator
+        carries over between calls.
+
         Parameters
         ----------
         n_tours: override for the number of tours (defaults to
             ``params.n_tours``).
         """
+        params = self.params if n_tours is None else self.params.replace(n_tours=n_tours)
+        if params.engine == "python":
+            return self._run_reference(params)
         problem = self.problem
-        params = self.params
-        tours = params.n_tours if n_tours is None else n_tours
+        outcome = run_packed_colonies(PackedProblems.pack([problem]), params, [[self.rng]])[0][0]
+        best = AntSolution(
+            assignment=outcome.assignment,
+            score=outcome.score,
+            ant_id=outcome.ant_id,
+            widths=LayerWidths.from_assignment(problem, outcome.assignment),
+        )
+        return ColonyResult(best=best, history=outcome.history)
+
+    def _run_reference(self, params: ACOParams) -> ColonyResult:
+        """The per-vertex reference loop: ``Ant.perform_walk`` on a dense trail."""
+        problem = self.problem
+        pheromone = self.pheromone
+        assert pheromone is not None
+        pheromone.values[:, 1:] = params.tau0
 
         base_assignment = problem.initial_assignment.copy()
         base_widths = LayerWidths.from_assignment(problem, base_assignment)
@@ -118,7 +139,7 @@ class AntColony:
 
         # The starting layering (stretched LPL) itself seeds the global best,
         # so the colony can never return something worse than its seed.
-        global_best: AntSolution | None = AntSolution(
+        global_best = AntSolution(
             assignment=base_assignment.copy(),
             score=initial_score,
             ant_id=-1,
@@ -127,28 +148,17 @@ class AntColony:
         history: list[TourRecord] = []
         debug_widths = bool(os.environ.get(_DEBUG_WIDTHS_ENV))
 
-        for tour in range(1, tours + 1):
-            if params.engine == "python":
-                solutions = [
-                    ant.perform_walk(base_assignment, base_widths, self.pheromone, self.rng)
-                    for ant in self.ants
-                ]
-            else:
-                solutions = run_tour_vectorized(
-                    problem,
-                    params,
-                    self.pheromone,
-                    base_assignment,
-                    base_widths,
-                    self.rng,
-                    [ant.ant_id for ant in self.ants],
-                )
+        for tour in range(1, params.n_tours + 1):
+            solutions = [
+                ant.perform_walk(base_assignment, base_widths, pheromone, self.rng)
+                for ant in self.ants
+            ]
             tour_best = max(solutions, key=lambda s: s.objective)
             mean_objective = float(np.mean([s.objective for s in solutions]))
 
             # Evaporation, then the tour-best ant deposits pheromone.
-            self.pheromone.evaporate(params.rho, params.tau_min)
-            self.pheromone.deposit(tour_best.assignment, deposit_scale * tour_best.objective)
+            pheromone.evaporate(params.rho, params.tau_min)
+            pheromone.deposit(tour_best.assignment, deposit_scale * tour_best.objective)
 
             # The best ant's layering (and the heuristic state implied by it)
             # seeds the next tour; the ant's incrementally maintained widths
@@ -167,7 +177,7 @@ class AntColony:
                     "incremental occupancy drifted from recomputation"
                 )
 
-            if global_best is None or tour_best.objective > global_best.objective:
+            if tour_best.objective > global_best.objective:
                 global_best = tour_best
 
             history.append(
@@ -181,5 +191,4 @@ class AntColony:
                 )
             )
 
-        assert global_best is not None
         return ColonyResult(best=global_best, history=history)

@@ -2,29 +2,30 @@
 
 The ant walk is inherently sequential — every construction step re-reads the
 layer widths left behind by the previous step — so the vectorization axis is
-*across ants*: all ants of a tour advance one vertex per kernel step, and
+*across walks*: every walk of a tour advances one vertex per kernel step, and
 every per-step quantity (layer spans, candidate widths, heuristic values,
-scores, selections) is computed for the whole colony with a handful of
-``(n_ants, n_layers + 1)`` NumPy operations instead of thousands of tiny
-per-vertex calls.
+scores, selections) is computed for all walks at once.
+:func:`run_walks_packed` is the one entry point: the native C kernel when it
+loads, else the NumPy lockstep loop (:func:`_lockstep_walks`).  The tour
+loop around it lives in :mod:`repro.aco.runtime`.
 
-Bit-identical engines
----------------------
+Bit-identical walks
+-------------------
 
-The per-vertex reference walk (``ACOParams(engine="python")``) and the
-batched walk (``engine="vectorized"``) must produce *bit-identical*
-assignments, objectives and tour histories for a fixed seed.  Three shared
-protocols guarantee this:
+The per-vertex reference walk (:meth:`repro.aco.ant.Ant.perform_walk`, run
+by ``ACOParams(engine="python")``) and the batched walks here must produce
+*bit-identical* assignments, objectives and tour histories for a fixed seed.
+Three shared protocols guarantee this:
 
 1. **Randomness** — :func:`draw_walk_randomness` draws, per walk, the vertex
    order followed by one uniform array ``u`` (only when the effective
    exploitation probability ``q0 < 1``).  ``numpy``'s ``Generator.random(n)``
    produces the same doubles as ``n`` successive scalar draws, so both
-   engines consume the generator identically, and pre-drawing decouples the
+   paths consume the generator identically, and pre-drawing decouples the
    randomness from the execution order (which is what lets the batched
-   engine interleave ants).
+   walks interleave).
 2. **Scoring** — :func:`fused_pow` is the single definition of
-   ``x ** exponent`` used by both engines.  Small integer exponents are
+   ``x ** exponent`` used by both paths.  Small integer exponents are
    decomposed into multiplications (``x*x*x`` is faster than, and not
    bit-equal to, ``np.power(x, 3.0)``, so the decomposition must be shared).
    All other score arithmetic keeps the exact element-wise operation order of
@@ -32,7 +33,7 @@ protocols guarantee this:
 3. **Selection** — :func:`select_from_scores` implements the degenerate
    fallback, the pseudo-random-proportional exploit test and roulette
    sampling (``searchsorted`` on the sequential cumulative sum).  The batched
-   engine evaluates the same decisions on zero-masked full layer rows; a
+   walks evaluate the same decisions on zero-masked full layer rows; a
    zero prefix leaves a sequential cumulative sum bit-unchanged, so the
    roulette index is the same in both views.
 
@@ -48,9 +49,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aco import _native
-from repro.aco.heuristic import AssignmentScore, LayerWidths, compact_ranks
+from repro.aco.heuristic import AssignmentScore, compact_ranks
 from repro.aco.params import ACOParams
-from repro.aco.pheromone import PheromoneMatrix
 from repro.aco.problem import LayeringProblem
 from repro.utils import resources
 
@@ -59,9 +59,7 @@ __all__ = [
     "select_from_scores",
     "draw_walk_randomness",
     "batched_layer_spans",
-    "run_walks_batch",
     "run_walks_packed",
-    "run_tour_vectorized",
     "evaluate_assignment_vectorized",
 ]
 
@@ -74,9 +72,9 @@ __all__ = [
 def fused_pow(x: np.ndarray, exponent: float) -> np.ndarray:
     """``x ** exponent`` with small integer exponents decomposed into products.
 
-    This is the single power implementation shared by both walk engines, so
-    the decomposition (which is not bit-equal to ``np.power`` for exponents
-    above 2) cannot cause engine divergence.  ``exponent`` is validated to be
+    This is the single power implementation shared by the reference walk
+    and the batched walks, so the decomposition (which is not bit-equal to
+    ``np.power`` for exponents above 2) cannot make them diverge.  ``exponent`` is validated to be
     non-negative by :class:`~repro.aco.params.ACOParams`.
     """
     if exponent == 1.0:
@@ -135,9 +133,9 @@ def draw_walk_randomness(
     """Draw everything one walk consumes from *rng*: the vertex order, then
     one uniform per visit (skipped entirely in pure-argmax mode).
 
-    Both engines call this at the start of every walk, in ant order, so the
-    generator stream is consumed identically no matter how the walks are
-    executed afterwards.
+    The reference walk and the tour loop both call this at the start of
+    every walk, in ant order, so the generator stream is consumed identically
+    no matter how the walks are executed afterwards.
     """
     if params.vertex_order == "bfs":
         order = problem.random_bfs_order(rng)
@@ -241,7 +239,7 @@ def evaluate_assignment_vectorized(
 
 
 # ---------------------------------------------------------------------- #
-# the lockstep tour
+# the lockstep walk sweep
 # ---------------------------------------------------------------------- #
 
 
@@ -297,105 +295,6 @@ def _native_walks_guarded(
     return assignment
 
 
-def run_walks_batch(
-    problem: LayeringProblem,
-    params: ACOParams,
-    tau_pow: np.ndarray,
-    tau_index: np.ndarray,
-    orders: np.ndarray,
-    uniforms: np.ndarray | None,
-    base_assignment: np.ndarray,
-    real: np.ndarray,
-    crossing: np.ndarray,
-    occupancy: np.ndarray,
-) -> np.ndarray:
-    """Run a batch of complete walks in lockstep and return the assignments.
-
-    The batch axis is *walks*, not ants of one colony: ``tau_pow`` is a
-    contiguous ``(n_matrices, n_vertices, n_cols)`` stack of pre-powered
-    pheromone matrices and ``tau_index[a]`` names the matrix walk ``a``
-    reads, so one call can sweep the ants of several independent colonies
-    (the multi-colony runtime batches 8 colonies × 10 ants
-    into one 80-walk call).  ``base_assignment`` is either one row
-    (broadcast to every walk) or one row per walk; ``real``/``crossing``/
-    ``occupancy`` are per-walk ``(n_walks, n_cols)`` arrays mutated in
-    place.  Returns the final ``(n_walks, n_vertices)`` assignments.
-
-    Every walk is bit-identical to :meth:`repro.aco.ant.Ant.perform_walk`
-    run sequentially on its own colony's generator stream.
-    """
-    n_ants = orders.shape[0]
-    n = problem.n_vertices
-    n_cols = problem.n_layers + 1
-
-    beta = params.beta
-    epsilon = params.eta_epsilon
-    nd_width = problem.nd_width
-    q0 = params.exploitation_probability
-    explore_possible = q0 < 1.0
-
-    # Prefer the compiled backend (one C call per batch, same bit-exact
-    # protocol); fall back to the NumPy lockstep below when it is absent or
-    # cannot replicate a non-integer beta exponent.
-    native_lib = _native.load_native() if _native.native_supports(beta) else None
-    if native_lib is not None:
-        assignment = np.empty((n_ants, n), dtype=np.int64)
-        assignment[:] = base_assignment
-        result = _native_walks_guarded(
-            native_lib,
-            n_tasks=n_ants,
-            orders=orders,
-            uniforms=uniforms,
-            succ_indptr=problem.succ_indptr,
-            succ_indices=problem.succ_indices,
-            pred_indptr=problem.pred_indptr,
-            pred_indices=problem.pred_indices,
-            out_degree=problem.out_degree,
-            in_degree=problem.in_degree,
-            vertex_widths=problem.widths,
-            tau=tau_pow,
-            tau_index=tau_index,
-            beta=beta,
-            nd_width=nd_width,
-            epsilon=epsilon,
-            q0=q0,
-            assignment=assignment,
-            real=real,
-            crossing=crossing,
-            occupancy=occupancy,
-        )
-        if result is not None:
-            return result
-
-    # NumPy fallback: the shared lockstep core with uniform per-walk
-    # parameters (every walk is the same graph at offset zero).
-    return _lockstep_walks(
-        succ_indptr=problem.succ_indptr,
-        succ_indices=problem.succ_indices,
-        pred_indptr=problem.pred_indptr,
-        pred_indices=problem.pred_indices,
-        widths=problem.widths,
-        out_degree=problem.out_degree,
-        in_degree=problem.in_degree,
-        steps=np.full(n_ants, n, dtype=np.int64),
-        voff=np.zeros(n_ants, dtype=np.int64),
-        ibase=np.zeros(n_ants, dtype=np.int64),
-        layers_w=np.full(n_ants, problem.n_layers, dtype=np.int64),
-        max_n=n,
-        max_cols=n_cols,
-        params=params,
-        nd_width=nd_width,
-        tau_pow=tau_pow,
-        tau_index=tau_index,
-        orders=orders,
-        uniforms=uniforms,
-        base_assignment=base_assignment,
-        real=real,
-        crossing=crossing,
-        occupancy=occupancy,
-    )
-
-
 def run_walks_packed(
     packed,
     params: ACOParams,
@@ -409,17 +308,22 @@ def run_walks_packed(
     crossing: np.ndarray,
     occupancy: np.ndarray,
 ) -> np.ndarray:
-    """Run walks belonging to *different graphs* in one lockstep sweep.
+    """Run walks belonging to one or more graphs in one lockstep sweep.
 
-    The cross-graph twin of :func:`run_walks_batch`: *packed* is a
-    :class:`~repro.aco.problem.PackedProblems`, ``walk_graph[a]`` names the
-    graph walk ``a`` builds a layering for, and every per-walk row (orders,
-    uniforms, assignments, layer-state) is padded to the pack-wide strides
-    ``max_n_vertices`` / ``max_n_cols``.  Walks of graphs smaller than the
-    pack maximum terminate early (masked out of later steps), and every
-    per-step quantity is computed with exactly the element-wise operations
-    of the single-graph batch, so each walk is bit-identical to running it
-    through its own graph's :func:`run_walks_batch`.
+    *packed* is a :class:`~repro.aco.problem.PackedProblems`,
+    ``walk_graph[a]`` names the graph walk ``a`` builds a layering for, and
+    every per-walk row (orders, uniforms, assignments, layer-state) is padded
+    to the pack-wide strides ``max_n_vertices`` / ``max_n_cols``.  Walks of
+    graphs smaller than the pack maximum terminate early (masked out of later
+    steps), and every walk is bit-identical to
+    :meth:`repro.aco.ant.Ant.perform_walk` on its own graph with the same
+    pre-drawn randomness and pheromone matrix.  ``real``/``crossing``/
+    ``occupancy`` are per-walk ``(n_walks, max_n_cols)`` arrays mutated in
+    place.
+
+    The native kernel runs the sweep when it loads and supports ``beta``;
+    otherwise (no compiler, a non-integer ``beta`` or an open breaker) the
+    NumPy lockstep :func:`_lockstep_walks` does, with identical results.
 
     ``tau_pow`` is a contiguous ``(n_matrices, max_n_vertices, max_n_cols)``
     stack of zero-padded pre-powered pheromone matrices; ``tau_index[a]``
@@ -530,14 +434,12 @@ def _lockstep_walks(
     crossing: np.ndarray,
     occupancy: np.ndarray,
 ) -> np.ndarray:
-    """The one NumPy lockstep walk loop shared by both batch entry points.
+    """The NumPy lockstep walk loop behind :func:`run_walks_packed`.
 
-    ``run_walks_batch`` calls it with uniform per-walk parameters (one
-    graph, offset zero); ``run_walks_packed`` with the packed per-walk
-    steps/offsets/layer counts.  Keeping a single implementation is what
-    protects the bit-identity contract between the serial and batched
-    executors from the two copies drifting apart — the same altitude the C
-    kernel takes with its nullable per-walk arrays.
+    The path for boxes without a C compiler (and for exponents the native
+    kernel cannot replicate).  Per-walk ``steps``/``voff``/``ibase``/
+    ``layers_w`` place each walk's graph inside the pack, the same
+    per-walk arrays the C kernel takes.
 
     The adjacency is CSR-only: ``ibase[a]`` offsets walk ``a``'s vertices
     into the (possibly packed) ``indptr`` arrays, and the span bounds are
@@ -656,71 +558,3 @@ def _lockstep_walks(
                         row[new_l:old_l] -= outdeg
 
     return assignment
-
-
-def run_tour_vectorized(
-    problem: LayeringProblem,
-    params: ACOParams,
-    pheromone: PheromoneMatrix,
-    base_assignment: np.ndarray,
-    base_widths: LayerWidths,
-    rng: np.random.Generator,
-    ant_ids: list[int],
-):
-    """Run one tour — every ant's complete walk — in lockstep.
-
-    Returns one :class:`~repro.aco.ant.AntSolution` per ant, in ant order,
-    bit-identical to running :meth:`repro.aco.ant.Ant.perform_walk`
-    sequentially with the same generator.
-    """
-    n_ants = len(ant_ids)
-
-    # Pre-draw each walk's randomness in ant order (the stream protocol).
-    draws = [draw_walk_randomness(problem, params, rng) for _ in range(n_ants)]
-    orders = np.stack([order for order, _ in draws])
-    uniforms = None if draws[0][1] is None else np.stack([u for _, u in draws])
-
-    alpha = params.alpha
-    # tau^alpha over the whole matrix once per tour; element-wise equal to
-    # powering each span slice (the trails are read-only during the tour).
-    tau_pow = pheromone.values if alpha == 1.0 else fused_pow(pheromone.values, alpha)
-    tau_stack = np.ascontiguousarray(tau_pow)[None]
-
-    real = np.tile(base_widths.real, (n_ants, 1))
-    crossing = np.tile(base_widths.crossing, (n_ants, 1))
-    occupancy = np.tile(base_widths.occupancy, (n_ants, 1))
-
-    assignment = run_walks_batch(
-        problem,
-        params,
-        tau_stack,
-        np.zeros(n_ants, dtype=np.int64),
-        orders,
-        uniforms,
-        base_assignment,
-        real,
-        crossing,
-        occupancy,
-    )
-    return _collect_solutions(problem, assignment, real, crossing, occupancy, ant_ids)
-
-
-def _collect_solutions(problem, assignment, real, crossing, occupancy, ant_ids):
-    """Wrap the per-ant final state into scored :class:`AntSolution` objects."""
-    from repro.aco.ant import AntSolution  # local import breaks the module cycle
-    from repro.aco.heuristic import evaluate_with_widths
-
-    solutions = []
-    for a in range(len(ant_ids)):
-        final_assignment = assignment[a].copy()
-        widths = LayerWidths(problem, real[a], crossing[a], occupancy[a])
-        score = evaluate_with_widths(problem, final_assignment, widths)
-        solutions.append(
-            AntSolution(
-                assignment=final_assignment,
-                score=score,
-                ant_id=ant_ids[a],
-                widths=widths,
-            )
-        )
-    return solutions

@@ -29,12 +29,11 @@ SELECTION_RULES = ("argmax", "roulette")
 #: topological order is provided as a third natural choice.
 VERTEX_ORDERS = ("random", "bfs", "topological")
 
-#: Supported execution engines for the ant walks.  ``"vectorized"`` (default)
-#: runs every ant of a tour in lockstep over batched NumPy arrays (see
-#: :mod:`repro.aco.kernels`); ``"python"`` is the per-vertex reference
-#: implementation kept for A/B determinism tests.  Both engines follow the
-#: same randomness and selection protocol and produce bit-identical results
-#: for a fixed seed.
+#: Supported execution engines.  ``"vectorized"`` (default) runs the tours
+#: on the walk kernel through :func:`repro.aco.runtime.run_packed_colonies`;
+#: ``"python"`` is ``AntColony``'s own per-vertex loop, the reference the
+#: tests compare against.  Both follow the same randomness and selection
+#: protocol and produce bit-identical results for a fixed seed.
 ENGINES = ("vectorized", "python")
 
 
@@ -94,9 +93,13 @@ class ACOParams:
         (width 0) yield a large-but-finite heuristic value instead of a
         division by zero.
     engine:
-        ``"vectorized"`` (default) runs all ants of a tour in lockstep on the
-        batched array kernels of :mod:`repro.aco.kernels`; ``"python"`` keeps
-        the per-vertex reference walk.  Identical results either way.
+        ``"python"`` makes :class:`~repro.aco.colony.AntColony` run its own
+        tour loop with the per-vertex walk on a dense pheromone matrix: the
+        independent oracle the tests compare every other path against.
+        ``"vectorized"`` (default) runs the colony as a pack of one through
+        :func:`repro.aco.runtime.run_packed_colonies` on the walk kernel
+        (native, or the NumPy lockstep where no compiler exists).  Packs and
+        portfolios always run the kernel.  Identical results either way.
     exchange_every:
         Multi-colony only (see :mod:`repro.aco.runtime`): every
         ``exchange_every`` tours the overall best layering across the

@@ -1,36 +1,22 @@
-"""In-process multi-colony runtime.
+"""The ACO tour loop that drives the walk kernel.
 
-The classic multi-colony driver (:mod:`repro.aco.parallel`) treats each colony
-as an opaque job: the graph is JSON-serialised to every worker, every colony
-re-runs the initialisation phase (LPL, stretching, CSR indexing), and every
-colony pays its own per-tour Python overhead.  This module removes all three
-costs:
+:func:`run_packed_colonies` is the layering phase of the paper
+(Algorithm 4) for every caller that runs the kernel: each tour is one
+:func:`repro.aco.kernels.run_walks_packed` sweep over every ant of every
+colony of every graph in a :class:`~repro.aco.problem.PackedProblems`
+pack, followed by evaporation and the tour-best deposit.  A single graph is
+a pack of one (:class:`~repro.aco.colony.AntColony` on the default engine),
+a multi-colony portfolio is a seed list
+(:func:`repro.aco.parallel.parallel_aco_layering`), and the experiment
+engine's batched executor packs many graphs.
 
-1. **One problem build.**  The :class:`~repro.aco.problem.LayeringProblem` is
-   constructed once and its flat arrays feed every colony directly — no
-   JSON, no re-parse, no per-colony initialisation.
-
-2. **Lockstep colony batching.**  :func:`run_colonies_batch` advances *all*
-   colonies together: each tour is one
-   :func:`repro.aco.kernels.run_walks_batch` call sweeping every ant of every
-   colony (8 colonies × 10 ants = one 80-walk kernel call), with each walk
-   reading its own colony's pheromone matrix through the kernel's
-   ``tau_index`` indirection.  Per-colony randomness, evaporation, deposit
-   and best-tracking are untouched, so with ``exchange_every = 0`` (the
-   default) the outcome is **bit-identical** to running the colonies one by
-   one — the property the seed-stability tests pin down.
-
-3. **Optional pheromone exchange.**  ``ACOParams(exchange_every=k)`` migrates
-   the overall best layering across colonies every *k* tours: the elite
-   assignment deposits pheromone on *every* colony's matrix, the standard
-   coarse-grained cooperation scheme for parallel ant colonies.  Because this
-   couples the colonies it deliberately changes results (usually for the
-   better).
-
-:func:`run_packed_colonies` extends the same loop across *graphs*: a
-:class:`~repro.aco.problem.PackedProblems` pack advances every graph's
-colonies through one :func:`repro.aco.kernels.run_walks_packed` sweep per
-tour.
+Each colony keeps its own generator, pheromone matrix (a view into one
+contiguous stack), base layering, global best and per-tour history, used in
+exactly the order of the reference loop (``AntColony`` with
+``engine="python"``), so every colony is bit-identical to it.
+``ACOParams(exchange_every=k)`` couples the colonies of one graph: every
+*k* tours the graph's best layering so far deposits pheromone on all of its
+colonies' matrices, which deliberately changes results.
 
 Everything runs in the calling process.  Multi-core speed-up comes from
 one place only: the native walk kernel fans each sweep's walks out over
@@ -46,284 +32,52 @@ from typing import Sequence
 import numpy as np
 
 from repro.aco.heuristic import AssignmentScore, LayerWidths, evaluate_with_widths
-from repro.aco.kernels import (
-    draw_walk_randomness,
-    fused_pow,
-    run_walks_batch,
-    run_walks_packed,
-)
+from repro.aco.kernels import draw_walk_randomness, fused_pow, run_walks_packed
 from repro.aco.params import ACOParams
 from repro.aco.pheromone import PheromoneMatrix
 from repro.aco.problem import LayeringProblem, PackedProblems
 from repro.graph.digraph import DiGraph
-from repro.layering.base import Layering
-from repro.layering.metrics import evaluate_layering
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import as_generator
 
-__all__ = [
-    "ColonyOutcome",
-    "run_colonies_batch",
-    "run_packed_colonies",
-    "colonies_aco_layering",
-    "prewarm",
-]
+__all__ = ["TourRecord", "ColonyOutcome", "run_packed_colonies", "prewarm"]
 
-# ---------------------------------------------------------------------- #
-# the lockstep multi-colony loop
-# ---------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class TourRecord:
+    """Summary of one tour, kept for convergence analysis and tests."""
+
+    tour: int
+    best_objective: float
+    mean_objective: float
+    best_height: int
+    best_width: float
+    best_ant_id: int
 
 
 @dataclass
 class ColonyOutcome:
-    """Best solution of one colony, in stretched layer coordinates."""
+    """One colony's best solution, in stretched layer coordinates, and its history.
+
+    ``ant_id`` is the ant that found the best solution (``-1`` when no tour
+    beat the stretched-LPL start).  ``seed`` is the colony's entry of the
+    caller's seed list: an integer, ``None`` or a Generator.
+    """
 
     colony_index: int
-    seed: int
+    seed: int | None | np.random.Generator
     score: AssignmentScore
     assignment: np.ndarray
+    ant_id: int
+    history: list[TourRecord]
 
-
-def run_colonies_batch(
-    problem: LayeringProblem,
-    params: ACOParams,
-    colony_seeds: Sequence[int],
-) -> list[ColonyOutcome]:
-    """Run several colonies in lockstep over one problem instance.
-
-    Every tour performs exactly one :func:`run_walks_batch` call covering all
-    ``len(colony_seeds) × params.n_ants`` walks; each walk reads its own
-    colony's pheromone matrix via the ``tau_index`` indirection.  Each colony
-    keeps its own generator (seeded from *colony_seeds*), pheromone matrix,
-    base layering and global best, consumed in exactly the order the
-    single-colony :class:`~repro.aco.colony.AntColony` would, so with
-    ``params.exchange_every == 0`` the outcomes are bit-identical to running
-    the colonies independently.
-    """
-    n_colonies = len(colony_seeds)
-    n_ants = params.n_ants
-    n_layers = problem.n_layers
-
-    rngs = [as_generator(seed) for seed in colony_seeds]
-    # All colonies' pheromone matrices live as views into one contiguous
-    # (n_colonies, n_vertices, n_layers + 1) stack: evaporation and deposit
-    # mutate the stack through the views, so with alpha == 1 the kernel call
-    # reads the stack directly — no per-tour copy of the trails.
-    tau_values = np.full(
-        (n_colonies, problem.n_vertices, n_layers + 1), params.tau0, dtype=np.float64
-    )
-    tau_values[:, :, 0] = 0.0
-    pheromones = [PheromoneMatrix.wrap(tau_values[c]) for c in range(n_colonies)]
-
-    init_assignment = problem.initial_assignment
-    init_widths = LayerWidths.from_assignment(problem, init_assignment)
-    initial_score = evaluate_with_widths(problem, init_assignment, init_widths)
-    # Same deposit normalisation as AntColony.run: a tour-best ant as good as
-    # the stretched-LPL start deposits exactly `params.deposit`.
-    deposit_scale = (
-        params.deposit / initial_score.objective
-        if initial_score.objective > 0
-        else params.deposit
-    )
-
-    base_assignment = np.tile(init_assignment, (n_colonies, 1))
-    base_real = np.tile(init_widths.real, (n_colonies, 1))
-    base_crossing = np.tile(init_widths.crossing, (n_colonies, 1))
-    base_occupancy = np.tile(init_widths.occupancy, (n_colonies, 1))
-
-    # The starting layering seeds every colony's global best, so no colony
-    # can return something worse than its seed (AntColony invariant).
-    best_assignment = base_assignment.copy()
-    best_scores: list[AssignmentScore] = [initial_score] * n_colonies
-
-    tau_index = np.repeat(np.arange(n_colonies, dtype=np.int64), n_ants)
-    alpha = params.alpha
-    exchange = params.exchange_every if n_colonies > 1 else 0
-    reference_engine = params.engine == "python"
-    if reference_engine:
-        from repro.aco.ant import Ant  # local import breaks the module cycle
-
-        ants = [Ant(i, problem, params) for i in range(n_ants)]
-
-    for tour in range(1, params.n_tours + 1):
-        # One tour-best tuple per colony: (assignment, score, real, crossing,
-        # occupancy), selected as the first maximum in ant order exactly like
-        # max(solutions, key=objective).
-        tour_best: list[tuple[np.ndarray, AssignmentScore, np.ndarray, np.ndarray, np.ndarray]] = []
-
-        if reference_engine:
-            # The per-vertex reference walk, kept selectable through the
-            # colonies executor so engine="python" stays a usable escape
-            # hatch for cross-checking the kernels on multi-colony runs.
-            for c in range(n_colonies):
-                base_w = LayerWidths(
-                    problem, base_real[c], base_crossing[c], base_occupancy[c]
-                )
-                solutions = [
-                    ant.perform_walk(base_assignment[c], base_w, pheromones[c], rngs[c])
-                    for ant in ants
-                ]
-                best = max(solutions, key=lambda s: s.objective)
-                tour_best.append(
-                    (
-                        best.assignment,
-                        best.score,
-                        best.widths.real,
-                        best.widths.crossing,
-                        best.widths.occupancy,
-                    )
-                )
-        else:
-            # Per-walk randomness, drawn colony by colony in ant order —
-            # exactly how each colony's own generator stream would be
-            # consumed.
-            draws = [
-                draw_walk_randomness(problem, params, rngs[c])
-                for c in range(n_colonies)
-                for _ in range(n_ants)
-            ]
-            orders = np.stack([order for order, _ in draws])
-            uniforms = None if draws[0][1] is None else np.stack([u for _, u in draws])
-
-            tau_stack = tau_values if alpha == 1.0 else fused_pow(tau_values, alpha)
-
-            real = np.repeat(base_real, n_ants, axis=0)
-            crossing = np.repeat(base_crossing, n_ants, axis=0)
-            occupancy = np.repeat(base_occupancy, n_ants, axis=0)
-            base_rows = np.repeat(base_assignment, n_ants, axis=0)
-
-            assignment = run_walks_batch(
-                problem,
-                params,
-                tau_stack,
-                tau_index,
-                orders,
-                uniforms,
-                base_rows,
-                real,
-                crossing,
-                occupancy,
-            )
-
-            for c in range(n_colonies):
-                start = c * n_ants
-                best_row = start
-                best_score: AssignmentScore | None = None
-                for a in range(start, start + n_ants):
-                    widths = LayerWidths(problem, real[a], crossing[a], occupancy[a])
-                    score = evaluate_with_widths(problem, assignment[a], widths)
-                    if best_score is None or score.objective > best_score.objective:
-                        best_row, best_score = a, score
-                assert best_score is not None
-                tour_best.append(
-                    (
-                        assignment[best_row],
-                        best_score,
-                        real[best_row],
-                        crossing[best_row],
-                        occupancy[best_row],
-                    )
-                )
-
-        # Evaporate all colonies in one stack-wide pass: each matrix sees the
-        # exact element-wise operations PheromoneMatrix.evaporate would apply,
-        # and the matrices are independent, so batching preserves bit-identity.
-        tau_values[:, :, 1:] *= 1.0 - params.rho
-        if params.tau_min > 0.0:
-            np.maximum(tau_values[:, :, 1:], params.tau_min, out=tau_values[:, :, 1:])
-
-        for c, (best_asg, best_score, best_real, best_crossing, best_occupancy) in enumerate(
-            tour_best
-        ):
-            pheromones[c].deposit(best_asg, deposit_scale * best_score.objective)
-
-            base_assignment[c] = best_asg
-            base_real[c] = best_real
-            base_crossing[c] = best_crossing
-            base_occupancy[c] = best_occupancy
-            if best_score.objective > best_scores[c].objective:
-                best_scores[c] = best_score
-                best_assignment[c] = best_asg
-
-        if exchange and tour % exchange == 0 and tour < params.n_tours:
-            # Elite migration: the overall best layering so far deposits on
-            # every colony's matrix (first-best tie-breaking by colony order).
-            elite = max(
-                range(n_colonies), key=lambda c: best_scores[c].objective
-            )
-            amount = deposit_scale * best_scores[elite].objective
-            for pheromone in pheromones:
-                pheromone.deposit(best_assignment[elite], amount)
-
-    return [
-        ColonyOutcome(
-            colony_index=c,
-            seed=int(colony_seeds[c]),
-            score=best_scores[c],
-            assignment=best_assignment[c].copy(),
-        )
-        for c in range(n_colonies)
-    ]
-
-
-def colonies_aco_layering(
-    graph: DiGraph,
-    params: ACOParams | None = None,
-    *,
-    n_colonies: int = 4,
-):
-    """Run *n_colonies* colonies through the lockstep runtime.
-
-    The drop-in ``executor="colonies"`` back end of
-    :func:`repro.aco.parallel.parallel_aco_layering`: same seed derivation,
-    same result type, same best-colony selection — but the problem is built
-    once and the tours run as one in-process lockstep batch whose walks the
-    kernel spreads over its threads.
-
-    Returns a :class:`repro.aco.parallel.ParallelAcoResult`.
-    """
-    from repro.aco.parallel import (  # local import breaks the module cycle
-        ColonyRunSummary,
-        ParallelAcoResult,
-        _derive_colony_seeds,
-    )
-
-    if n_colonies < 1:
-        raise ValidationError(f"n_colonies must be >= 1, got {n_colonies}")
-    params = params if params is not None else ACOParams()
-    seeds = _derive_colony_seeds(params.seed, n_colonies)
-    problem = LayeringProblem.from_graph(graph, nd_width=params.nd_width)
-
-    summaries = []
-    for outcome in run_colonies_batch(problem, params, seeds):
-        layering = problem.assignment_to_layering(outcome.assignment, normalize=True)
-        metrics = evaluate_layering(graph, layering, nd_width=params.nd_width)
-        summaries.append(
-            ColonyRunSummary(
-                colony_index=outcome.colony_index,
-                seed=outcome.seed,
-                objective=metrics.objective,
-                height=metrics.height,
-                width_including_dummies=metrics.width_including_dummies,
-                assignment=layering.to_dict(),
-            )
-        )
-    best = max(summaries, key=lambda s: s.objective)
-    layering = Layering(best.assignment)
-    layering.validate(graph)
-    return ParallelAcoResult(layering=layering, best_colony=best, colonies=summaries)
-
-
-# ---------------------------------------------------------------------- #
-# cross-graph packed execution
-# ---------------------------------------------------------------------- #
 
 def run_packed_colonies(
     packed: PackedProblems,
     params: ACOParams,
-    seeds_per_graph: Sequence[Sequence[int]],
+    seeds_per_graph: Sequence[Sequence[int | None | np.random.Generator]],
 ) -> list[list[ColonyOutcome]]:
-    """Run every graph's colonies through the cross-graph lockstep runtime.
+    """Run every graph's colonies through the cross-graph lockstep tour loop.
 
     Parameters
     ----------
@@ -333,15 +87,17 @@ def run_packed_colonies(
         identical specs).
     seeds_per_graph: one colony-seed list per pack graph — ``[params.seed]``
         for a plain single-colony cell, the derived portfolio seeds for
-        ``n_colonies > 1`` cells.
+        ``n_colonies > 1`` cells.  An entry may be a Generator, which the
+        colony then consumes.
 
     Every tour is a single :func:`run_walks_packed` call sweeping
     ``Σ_g n_colonies_g × n_ants`` walks across the whole pack, spread over
-    the walk kernel's threads.  Each graph keeps its own generators,
-    pheromone matrices, deposit scale and best-tracking, consumed in exactly
-    the per-graph order, so the outcomes are bit-identical to running each
-    graph through :func:`run_colonies_batch` (and therefore to the
-    single-colony :class:`~repro.aco.colony.AntColony`) on its own.
+    the walk kernel's threads (or the NumPy lockstep where no compiler
+    exists).  Each graph keeps its own generators, pheromone matrices,
+    deposit scale and best-tracking, consumed in exactly the per-graph
+    order, so every colony is bit-identical to the reference
+    :class:`~repro.aco.colony.AntColony` loop (``engine="python"``) run on
+    its own — ``params.engine`` is not consulted here.
 
     Returns one ``list[ColonyOutcome]`` per graph, in pack order.
     """
@@ -351,14 +107,6 @@ def run_packed_colonies(
             f"{len(seeds_per_graph)} seed lists"
         )
     problems = packed.problems
-    if params.engine == "python":
-        # The per-vertex reference engine has no batching win; delegate to
-        # the single-graph loop, which already pins bit-identity to the ants.
-        return [
-            run_colonies_batch(problem, params, seeds)
-            for problem, seeds in zip(problems, seeds_per_graph)
-        ]
-
     n_ants = params.n_ants
     max_n = packed.max_n_vertices
     max_cols = packed.max_n_cols
@@ -385,7 +133,10 @@ def run_packed_colonies(
         tau_values[m, : p.n_vertices, 1 : p.n_layers + 1] = params.tau0
         pheromones.append(PheromoneMatrix.wrap(tau_values[m, : p.n_vertices, : p.n_layers + 1]))
 
-    # Per-graph initial scores and deposit normalisation (AntColony protocol).
+    # Per-graph initial scores and deposit normalisation.  The paper does
+    # not fix the deposit's absolute scale, and raw objectives (1 / (H + W))
+    # are tiny next to tau0, so a tour-best ant as good as the stretched-LPL
+    # start deposits exactly `params.deposit` and better ants deposit more.
     initial_scores: dict[int, AssignmentScore] = {}
     deposit_scale: dict[int, float] = {}
     for g, p in enumerate(problems):
@@ -407,10 +158,14 @@ def run_packed_colonies(
     base_crossing = packed.init_crossing[mat_graph].copy()
     base_occupancy = packed.init_occupancy[mat_graph].copy()
 
+    # The starting layering seeds every colony's global best, so no colony
+    # can return something worse than its seed.
     best_assignment = base_assignment.copy()
     best_scores: list[AssignmentScore] = [
         initial_scores[int(g)] for g in mat_graph
     ]
+    best_ants = [-1] * n_matrices
+    histories: list[list[TourRecord]] = [[] for _ in range(n_matrices)]
 
     alpha = params.alpha
     draw_uniforms = params.exploitation_probability < 1.0
@@ -458,14 +213,14 @@ def run_packed_colonies(
         # objective of every walk in a handful of array passes, with the
         # exact element-wise operations of evaluate_with_widths (padded
         # layers are unoccupied, so they influence neither count nor max).
+        # argmax takes the first maximum in ant order, like max() over the
+        # reference loop's solutions, and the row mean equals its np.mean.
         heights = np.count_nonzero(occupancy[:, 1:], axis=1)
         totals = real[:, 1:] + nd_width * crossing[:, 1:]
         width_incl = np.where(occupancy[:, 1:] > 0, totals, -np.inf).max(axis=1)
-        objective = 1.0 / (heights + width_incl)
-        best_walk = (
-            objective.reshape(n_matrices, n_ants).argmax(axis=1)
-            + np.arange(n_matrices) * n_ants
-        )
+        objective = (1.0 / (heights + width_incl)).reshape(n_matrices, n_ants)
+        best_ant = objective.argmax(axis=1)
+        mean_objective = objective.mean(axis=1)
 
         # Evaporate every colony in one stack-wide pass, then each
         # tour-best deposits on its own colony's matrix.
@@ -474,7 +229,8 @@ def run_packed_colonies(
             np.maximum(tau_values[:, :, 1:], params.tau_min, out=tau_values[:, :, 1:])
 
         for m in range(n_matrices):
-            wk = int(best_walk[m])
+            ant = int(best_ant[m])
+            wk = m * n_ants + ant
             p = problems[int(mat_graph[m])]
             n_g = p.n_vertices
             c_g = p.n_layers + 1
@@ -483,6 +239,16 @@ def run_packed_colonies(
             )
             score = evaluate_with_widths(p, assignment[wk, :n_g], widths_view)
             pheromones[m].deposit(assignment[wk, :n_g], scale[m] * score.objective)
+            histories[m].append(
+                TourRecord(
+                    tour=tour,
+                    best_objective=score.objective,
+                    mean_objective=float(mean_objective[m]),
+                    best_height=score.height,
+                    best_width=score.width_including_dummies,
+                    best_ant_id=ant,
+                )
+            )
 
             base_assignment[m] = assignment[wk]
             base_real[m] = real[wk]
@@ -491,6 +257,7 @@ def run_packed_colonies(
             if score.objective > best_scores[m].objective:
                 best_scores[m] = score
                 best_assignment[m] = assignment[wk]
+                best_ants[m] = ant
 
         if params.exchange_every and tour % params.exchange_every == 0 and tour < params.n_tours:
             # Elite migration stays *within* each graph: the graph's best
@@ -516,9 +283,11 @@ def run_packed_colonies(
             [
                 ColonyOutcome(
                     colony_index=c,
-                    seed=int(seeds_per_graph[g][c]),
+                    seed=seeds_per_graph[g][c],
                     score=best_scores[start + c],
                     assignment=best_assignment[start + c, :n_g].copy(),
+                    ant_id=best_ants[start + c],
+                    history=histories[start + c],
                 )
                 for c in range(count)
             ]

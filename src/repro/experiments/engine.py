@@ -102,7 +102,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.aco.layering_aco import aco_layering
 from repro.aco.params import ACOParams
-from repro.aco.parallel import _derive_colony_seeds, parallel_aco_layering
+from repro.aco.parallel import _derive_colony_seeds, parallel_aco_layering, portfolio_result
 from repro.experiments.cache import ResultCache, cache_key, canonical_json, content_digest
 from repro.experiments.journal import RunJournal
 from repro.graph.digraph import DiGraph
@@ -263,7 +263,7 @@ class MethodSpec:
             if self.n_colonies > 1:
                 n_colonies = self.n_colonies
                 return lambda g: parallel_aco_layering(
-                    g, params, n_colonies=n_colonies, executor="colonies"
+                    g, params, n_colonies=n_colonies
                 ).layering
             return lambda g: aco_layering(g, params)
         if self.name in BUILTIN_METHODS:
@@ -1362,9 +1362,9 @@ class ExperimentEngine:
 
         Mirrors the serial path exactly: a single-colony cell returns the
         colony's best assignment (:func:`repro.aco.layering_aco.aco_layering`
-        protocol); an ``n_colonies > 1`` portfolio re-evaluates each colony's
-        layering and keeps the first objective maximum in colony order
-        (:func:`repro.aco.runtime.colonies_aco_layering` protocol).
+        protocol); an ``n_colonies > 1`` portfolio keeps the colony
+        :func:`repro.aco.parallel.portfolio_result` selects, as
+        :func:`repro.aco.parallel.parallel_aco_layering` does.
         """
         if len(graph_outcomes) == 1:
             layering = problem.assignment_to_layering(
@@ -1372,15 +1372,4 @@ class ExperimentEngine:
             )
             layering.validate(unit.graph)
             return layering
-        best_layering: Layering | None = None
-        best_objective = float("-inf")
-        for outcome in graph_outcomes:
-            layering = problem.assignment_to_layering(outcome.assignment, normalize=True)
-            metrics = evaluate_layering(
-                unit.graph, layering, nd_width=params.nd_width
-            )
-            if best_layering is None or metrics.objective > best_objective:
-                best_layering, best_objective = layering, metrics.objective
-        assert best_layering is not None
-        best_layering.validate(unit.graph)
-        return best_layering
+        return portfolio_result(unit.graph, problem, graph_outcomes, params.nd_width).layering

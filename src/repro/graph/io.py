@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from repro.graph.digraph import DEFAULT_VERTEX_WIDTH, DiGraph
 from repro.utils.exceptions import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "to_networkx",
@@ -45,6 +46,10 @@ __all__ = [
 
 def to_networkx(graph: DiGraph) -> nx.DiGraph:
     """Convert to :class:`networkx.DiGraph`, carrying ``width`` and ``label`` node attrs."""
+    # Imported on first use: networkx takes a sizeable share of the
+    # package's import time, and only the converters use it.
+    import networkx as nx
+
     g = nx.DiGraph()
     for v in graph.vertices():
         g.add_node(v, width=graph.vertex_width(v), label=graph.vertex_label(v))

@@ -31,13 +31,6 @@ from repro.layering.longest_path import longest_path_layering
 from repro.layering.promote import promote_layering
 from repro.utils.exceptions import LayeringError
 
-try:  # pragma: no cover - exercised implicitly; scipy is an optional accelerator
-    from scipy.optimize import linprog
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
-
 __all__ = [
     "minimum_dummy_layering",
     "minimum_dummy_layering_longest_path",
@@ -71,7 +64,11 @@ def minimum_dummy_layering(graph: DiGraph) -> Layering:
     require_dag(graph)
     if graph.n_edges == 0:
         return Layering({v: 1 for v in graph.vertices()})
-    if not _HAVE_SCIPY:  # pragma: no cover
+    try:
+        # SciPy is an optional accelerator, imported on first use: it costs
+        # about half a second, which importing the package should not pay.
+        from scipy.optimize import linprog
+    except ImportError:  # pragma: no cover
         return minimum_dummy_layering_longest_path(graph)
 
     vertices = list(graph.vertices())

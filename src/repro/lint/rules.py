@@ -12,9 +12,10 @@ after the fact:
   ``finally`` close/unlink, a ``shm_manifest.register`` call, a ``with``
   block, or transfer ownership by returning the handle.
 * **RPL004** kernel-contract parity — the C prototype, the ctypes
-  ``argtypes`` tuple, the Python wrapper, and the pure-Python fallback in
-  ``aco/_native.py`` / ``aco/kernels.py`` / ``aco/runtime.py`` must agree on
-  parameter names, order, and which per-walk arrays are nullable.
+  ``argtypes`` tuple, the Python wrapper, and ``run_walks_packed``'s calls
+  into the native kernel and the NumPy fallback (``aco/_native.py`` /
+  ``aco/kernels.py``) must agree on parameter names, order, and which
+  per-walk arrays are nullable.
 * **RPL005** cross-process payloads — arguments shipped to pool workers via
   ``map_with_state`` / ``imap_with_state`` must be picklable by
   construction: no lambdas, nested functions, locks, open handles, or shm
@@ -541,14 +542,18 @@ class _CParam:
         self.nullable = nullable
 
 
+#: The one Python entry point into the walk kernel (aco/kernels.py).
+_ENTRY_POINT = "run_walks_packed"
+
+
 class KernelContractRule(Rule):
     code = "RPL004"
     name = "kernel-contract"
     description = (
         "the C run_walks prototype, the ctypes argtypes list, run_walks_native, "
-        "and the kernels.py entry points must agree on names, order, and the "
-        "nullable per-walk array set, and the prototype must carry the CSR + "
-        "thread-count contract anchors"
+        "and run_walks_packed's kernel calls must agree on names, order, and "
+        "the nullable per-walk array set, and the prototype must carry the "
+        "CSR + thread-count contract anchors"
     )
 
     #: Maps a ctypes argtype spelling to the C parameter shape it implies.
@@ -577,15 +582,12 @@ class KernelContractRule(Rule):
         native = project.find_suffix("aco/_native.py")
         kernels = project.find_suffix("aco/kernels.py")
 
-        c_params: list[_CParam] | None = None
-        wrapper_nullable: set[str] | None = None
         wrapper_params: set[str] | None = None
         if native is not None and native.tree is not None:
             c_params = yield from self._check_native_argtypes(native)
-            wrapper_nullable, wrapper_params = yield from self._check_wrapper(native, c_params)
+            wrapper_params = yield from self._check_wrapper(native, c_params)
         if kernels is not None and kernels.tree is not None:
-            yield from self._check_kernels(kernels, wrapper_params, wrapper_nullable)
-            yield from self._check_entry_signatures(kernels)
+            yield from self._check_kernels(kernels, wrapper_params)
             yield from self._check_call_arity(project, kernels)
 
     # -- _native.py ---------------------------------------------------------
@@ -779,7 +781,7 @@ class KernelContractRule(Rule):
                 path=native.rel,
                 line=1,
             )
-            return None, None
+            return None
         nullable: set[str] = set()
         params: set[str] = set()
         for arg, default in zip(wrapper.args.kwonlyargs, wrapper.args.kw_defaults):
@@ -811,15 +813,12 @@ class KernelContractRule(Rule):
                     path=native.rel,
                     line=wrapper.lineno,
                 )
-        return nullable, params
+        return params
 
     # -- kernels.py ---------------------------------------------------------
 
     def _check_kernels(
-        self,
-        kernels: LintModule,
-        wrapper_params: set[str] | None,
-        wrapper_nullable: set[str] | None,
+        self, kernels: LintModule, wrapper_params: set[str] | None
     ) -> Iterator[Finding]:
         """Call-site keyword parity for run_walks_native and _lockstep_walks."""
         tree = kernels.tree
@@ -831,107 +830,56 @@ class KernelContractRule(Rule):
             if lockstep is not None
             else None
         )
-        lockstep_call_keys: list[tuple[frozenset[str], int]] = []
 
-        for fn_name in ("run_walks_batch", "run_walks_packed"):
-            fn = functions.get(fn_name)
-            if fn is None:
-                yield Finding(
-                    code=self.code,
-                    message=f"kernel entry point {fn_name!r} not found; contract anchor missing",
-                    path=kernels.rel,
-                    line=1,
-                )
-                continue
-            for node in _walk_no_nested_functions(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
-                if name.endswith("run_walks_native") and wrapper_params is not None:
-                    unknown = sorted(keywords - wrapper_params)
-                    if unknown:
-                        yield Finding(
-                            code=self.code,
-                            message=(
-                                f"{fn_name} passes keywords {unknown} that run_walks_native "
-                                "does not declare"
-                            ),
-                            path=kernels.rel,
-                            line=node.lineno,
-                        )
-                elif name.endswith("_lockstep_walks"):
-                    if lockstep_params is not None:
-                        unknown = sorted(keywords - lockstep_params)
-                        if unknown:
-                            yield Finding(
-                                code=self.code,
-                                message=(
-                                    f"{fn_name} passes keywords {unknown} that "
-                                    "_lockstep_walks does not declare"
-                                ),
-                                path=kernels.rel,
-                                line=node.lineno,
-                            )
-                    lockstep_call_keys.append((frozenset(keywords), node.lineno))
-
-        # The vectorized and packed fallback calls must stay keyword-identical
-        # modulo the per-walk arrays that only exist for packed problems.
-        if wrapper_nullable and len(lockstep_call_keys) >= 2:
-            walk_only = {n for n in wrapper_nullable if n.startswith("walk_")}
-            stripped = {keys - walk_only for keys, _ in lockstep_call_keys}
-            if len(stripped) > 1:
-                lines = ", ".join(str(line) for _, line in lockstep_call_keys)
-                yield Finding(
-                    code=self.code,
-                    message=(
-                        "_lockstep_walks call sites (lines "
-                        + lines
-                        + ") disagree on non-walk keyword sets; the vectorized and packed "
-                        "fallbacks must stay in lockstep"
-                    ),
-                    path=kernels.rel,
-                    line=lockstep_call_keys[0][1],
-                )
-
-    def _check_entry_signatures(self, kernels: LintModule) -> Iterator[Finding]:
-        """run_walks_batch and run_walks_packed must agree modulo the pack head."""
-        tree = kernels.tree
-        assert tree is not None
-        functions = _functions(tree)
-        batch = functions.get("run_walks_batch")
-        packed = functions.get("run_walks_packed")
-        if batch is None or packed is None:
-            return
-        batch_tail = [a.arg for a in batch.args.args][1:]
-        packed_tail = [a.arg for a in packed.args.args][1:]
-        packed_reduced = [p for p in packed_tail if p != "walk_graph"]
-        if batch_tail != packed_reduced:
+        fn = functions.get(_ENTRY_POINT)
+        if fn is None:
             yield Finding(
                 code=self.code,
-                message=(
-                    f"run_walks_batch{tuple(batch_tail)} and run_walks_packed"
-                    f"{tuple(packed_tail)} disagree beyond the problem/walk_graph head; "
-                    "the entry points must keep parameter names and order aligned"
-                ),
+                message=f"kernel entry point {_ENTRY_POINT!r} not found; contract anchor missing",
                 path=kernels.rel,
-                line=packed.lineno,
+                line=1,
             )
+            return
+        for node in _walk_no_nested_functions(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = dotted_name(node.func)
+            if name is None:
+                continue
+            keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+            if name.endswith("run_walks_native") and wrapper_params is not None:
+                unknown = sorted(keywords - wrapper_params)
+                if unknown:
+                    yield Finding(
+                        code=self.code,
+                        message=(
+                            f"{_ENTRY_POINT} passes keywords {unknown} that "
+                            "run_walks_native does not declare"
+                        ),
+                        path=kernels.rel,
+                        line=node.lineno,
+                    )
+            elif name.endswith("_lockstep_walks") and lockstep_params is not None:
+                unknown = sorted(keywords - lockstep_params)
+                if unknown:
+                    yield Finding(
+                        code=self.code,
+                        message=(
+                            f"{_ENTRY_POINT} passes keywords {unknown} that "
+                            "_lockstep_walks does not declare"
+                        ),
+                        path=kernels.rel,
+                        line=node.lineno,
+                    )
 
     def _check_call_arity(self, project: Project, kernels: LintModule) -> Iterator[Finding]:
-        """Positional call sites of the entry points must match their arity."""
+        """Positional call sites of the entry point must match its arity."""
         tree = kernels.tree
         assert tree is not None
-        functions = _functions(tree)
-        arity = {
-            name: len(fn.args.args)
-            for name, fn in functions.items()
-            if name in ("run_walks_batch", "run_walks_packed")
-        }
-        if not arity:
+        entry = _functions(tree).get(_ENTRY_POINT)
+        if entry is None:
             return
+        expected = len(entry.args.args)
         for module in project.modules:
             if module.tree is None:
                 continue
@@ -942,8 +890,7 @@ class KernelContractRule(Rule):
                 if name is None:
                     continue
                 tail = name.rsplit(".", 1)[-1]
-                expected = arity.get(tail)
-                if expected is None or node.keywords:
+                if tail != _ENTRY_POINT or node.keywords:
                     continue
                 if any(isinstance(a, ast.Starred) for a in node.args):
                     continue

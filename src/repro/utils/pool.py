@@ -1,8 +1,7 @@
 """Reusable process/thread/serial pool plumbing with per-worker shared state,
 crash-safe supervision and per-task deadlines.
 
-This generalises the worker-initializer pattern introduced for the
-multi-colony ACO driver (:mod:`repro.aco.parallel`): a payload describing the
+The experiment engine's executors run on it.  A payload describing the
 shared, read-only inputs of a run is shipped to every worker exactly once and
 decoded into per-worker state; the individual task submissions then carry
 only small per-task arguments.  For process pools this avoids paying
@@ -125,9 +124,9 @@ def effective_workers(
     An explicit *requested* value always wins.  When it is ``None`` the
     *env_var* environment variable (``REPRO_JOBS`` by default) is consulted
     before falling back to ``os.cpu_count()``, so CI boxes (and users) can
-    cap every pool in the library — the multi-colony driver, the experiment
-    engine, the colony runtime — with one setting instead of each call site
-    reading the raw CPU count.  The native kernel's thread resolution
+    cap every pool in the library (the experiment engine's executors) with
+    one setting instead of each call site reading the raw CPU count.  The
+    native kernel's thread resolution
     (:func:`repro.aco._native.effective_threads`) reuses the same ladder
     with ``env_var="REPRO_ACO_THREADS"``.  The result is additionally
     clamped to *n_tasks* (no point spawning more workers than tasks) and

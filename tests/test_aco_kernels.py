@@ -109,12 +109,12 @@ class TestEngineEquivalence:
         )
 
     def test_incremental_widths_stay_consistent(self, monkeypatch):
-        # The colony reuses the tour-best ant's LayerWidths between tours;
-        # the debug flag cross-checks them against a fresh recomputation.
+        # The reference loop reuses the tour-best ant's LayerWidths between
+        # tours; the debug flag (read only by that loop) cross-checks them
+        # against a fresh recomputation.
         monkeypatch.setenv("REPRO_ACO_DEBUG_WIDTHS", "1")
         graph = att_like_dag(30, seed=9)
-        for engine in ("python", "vectorized"):
-            run_engine(graph, ACOParams(n_ants=3, n_tours=4, seed=3), engine)
+        run_engine(graph, ACOParams(n_ants=3, n_tours=4, seed=3), "python")
 
 
 class TestFusedPow:
@@ -306,20 +306,18 @@ class TestThreadedBitIdentity:
             for n, s in ((14, 31), (26, 32), (9, 33))
         ]
         seeds = [[5], [7, 8], [9]]
-        monkeypatch.setenv("REPRO_ACO_THREADS", "1")
-        reference = run_packed_colonies(
-            PackedProblems.pack(problems), self.PARAMS, seeds
-        )
         if not native:
             monkeypatch.setenv("REPRO_ACO_NATIVE", "0")
         monkeypatch.setenv("REPRO_ACO_THREADS", str(threads))
         outcomes = run_packed_colonies(
             PackedProblems.pack(problems), self.PARAMS, seeds
         )
-        for ref, got in zip(reference, outcomes):
-            assert [o.score for o in got] == [o.score for o in ref]
-            for mine, theirs in zip(got, ref):
-                assert np.array_equal(mine.assignment, theirs.assignment)
+        oracle = self.PARAMS.replace(engine="python")
+        for problem, graph_seeds, got in zip(problems, seeds, outcomes):
+            for seed, mine in zip(graph_seeds, got):
+                ref = AntColony(problem, oracle.replace(seed=seed)).run()
+                assert mine.score == ref.best.score
+                assert np.array_equal(mine.assignment, ref.best.assignment)
 
     def test_invalid_thread_env_raises_canonical_error(self, monkeypatch):
         from repro.utils.exceptions import ValidationError

@@ -1,22 +1,23 @@
-"""Tests for the multi-colony parallel driver."""
+"""Tests for multi-colony portfolios (``parallel_aco_layering``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.aco.parallel import ParallelAcoResult, parallel_aco_layering, run_single_colony
+from repro.aco.parallel import ParallelAcoResult, parallel_aco_layering
 from repro.aco.params import ACOParams
 from repro.graph.generators import att_like_dag
-from repro.graph.io import to_json_dict
 from repro.utils.exceptions import ValidationError
 
 FAST = ACOParams(n_ants=2, n_tours=2, seed=5)
 
 
 class TestSerialBackend:
+    """The portfolio's basic contract; its colonies run in-process, in one pack."""
+
     def test_basic_run(self):
         g = att_like_dag(20, seed=1)
-        result = parallel_aco_layering(g, FAST, n_colonies=3, executor="serial")
+        result = parallel_aco_layering(g, FAST, n_colonies=3)
         assert isinstance(result, ParallelAcoResult)
         assert len(result.colonies) == 3
         result.layering.validate(g)
@@ -24,52 +25,22 @@ class TestSerialBackend:
 
     def test_deterministic(self):
         g = att_like_dag(20, seed=2)
-        a = parallel_aco_layering(g, FAST, n_colonies=3, executor="serial")
-        b = parallel_aco_layering(g, FAST, n_colonies=3, executor="serial")
+        a = parallel_aco_layering(g, FAST, n_colonies=3)
+        b = parallel_aco_layering(g, FAST, n_colonies=3)
         assert a.layering == b.layering
         assert [c.seed for c in a.colonies] == [c.seed for c in b.colonies]
 
     def test_single_colony(self):
         g = att_like_dag(15, seed=3)
-        result = parallel_aco_layering(g, FAST, n_colonies=1, executor="serial")
+        result = parallel_aco_layering(g, FAST, n_colonies=1)
         assert len(result.colonies) == 1
 
     def test_best_at_least_single_colony_quality(self):
         g = att_like_dag(25, seed=4)
-        multi = parallel_aco_layering(g, FAST, n_colonies=4, executor="serial")
+        multi = parallel_aco_layering(g, FAST, n_colonies=4)
         assert multi.objective >= min(c.objective for c in multi.colonies)
 
     def test_invalid_arguments(self):
         g = att_like_dag(10, seed=5)
         with pytest.raises(ValidationError):
             parallel_aco_layering(g, FAST, n_colonies=0)
-        with pytest.raises(ValidationError):
-            parallel_aco_layering(g, FAST, executor="gpu")
-
-
-class TestThreadBackend:
-    def test_matches_serial(self):
-        g = att_like_dag(18, seed=6)
-        serial = parallel_aco_layering(g, FAST, n_colonies=3, executor="serial")
-        threaded = parallel_aco_layering(g, FAST, n_colonies=3, executor="thread", max_workers=2)
-        assert threaded.layering == serial.layering
-        assert [c.objective for c in threaded.colonies] == [c.objective for c in serial.colonies]
-
-
-class TestWorkerFunction:
-    def test_run_single_colony_roundtrip(self):
-        g = att_like_dag(15, seed=7)
-        summary = run_single_colony(to_json_dict(g), FAST.as_dict(), colony_index=2, seed=99)
-        assert summary.colony_index == 2
-        assert summary.seed == 99
-        assert summary.objective > 0
-        assert set(summary.assignment) == set(g.vertices())
-
-
-@pytest.mark.slow
-class TestProcessBackend:
-    def test_matches_serial(self):
-        g = att_like_dag(15, seed=8)
-        serial = parallel_aco_layering(g, FAST, n_colonies=2, executor="serial")
-        procs = parallel_aco_layering(g, FAST, n_colonies=2, executor="process", max_workers=2)
-        assert procs.layering == serial.layering

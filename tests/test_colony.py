@@ -58,6 +58,29 @@ class TestRun:
         assert np.array_equal(res_a.best.assignment, res_b.best.assignment)
         assert res_a.best.objective == res_b.best.objective
 
+    def test_history_matches_reference_with_many_ants(self):
+        # With 9+ ants NumPy sums a tour's objectives pairwise; the kernel
+        # path's per-colony row mean must still equal the reference loop's
+        # np.mean over its solutions, bit for bit.
+        problem = small_problem(seed=4, n=30)
+        params = ACOParams(n_ants=13, n_tours=3, seed=8, q0=0.6)
+        reference = AntColony(problem, params.replace(engine="python")).run()
+        result = AntColony(problem, params).run()
+        assert result.history == reference.history
+        assert result.best.ant_id == reference.best.ant_id
+
+    def test_repeated_runs_match_reference(self):
+        # A second run starts again from tau0 on both paths; only the
+        # generator carries over.
+        problem = small_problem(seed=2, n=30)
+        params = ACOParams(n_ants=3, n_tours=3, seed=1)
+        reference = AntColony(problem, params.replace(engine="python"))
+        colony = AntColony(problem, params)
+        for _ in range(2):
+            ref, got = reference.run(), colony.run()
+            assert got.history == ref.history
+            assert np.array_equal(got.best.assignment, ref.best.assignment)
+
     def test_result_layering_is_valid(self):
         problem = small_problem(seed=6)
         params = ACOParams(n_ants=3, n_tours=3, seed=0)
@@ -67,9 +90,11 @@ class TestRun:
 
 
 class TestPheromoneDynamics:
+    """Trail dynamics of the reference loop, the only path with a colony-owned trail."""
+
     def test_pheromone_changes_after_run(self):
         problem = small_problem(seed=7)
-        params = ACOParams(n_ants=2, n_tours=3, seed=0, rho=0.5)
+        params = ACOParams(n_ants=2, n_tours=3, seed=0, rho=0.5, engine="python")
         colony = AntColony(problem, params)
         before = colony.pheromone.values.copy()
         colony.run()
@@ -77,14 +102,14 @@ class TestPheromoneDynamics:
 
     def test_pheromone_respects_tau_min(self):
         problem = small_problem(seed=8)
-        params = ACOParams(n_ants=2, n_tours=6, seed=0, rho=0.9, tau_min=1e-3)
+        params = ACOParams(n_ants=2, n_tours=6, seed=0, rho=0.9, tau_min=1e-3, engine="python")
         colony = AntColony(problem, params)
         colony.run()
         assert np.all(colony.pheromone.values[:, 1:] >= 1e-3 - 1e-12)
 
     def test_best_ant_cells_accumulate_more_pheromone(self):
         problem = small_problem(seed=9)
-        params = ACOParams(n_ants=3, n_tours=5, seed=1, rho=0.3)
+        params = ACOParams(n_ants=3, n_tours=5, seed=1, rho=0.3, engine="python")
         colony = AntColony(problem, params)
         result = colony.run()
         values = colony.pheromone.values

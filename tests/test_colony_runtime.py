@@ -1,19 +1,18 @@
-"""Tests for the in-process multi-colony runtime and its satellites.
+"""Tests for multi-colony portfolios and the engine settings around them.
 
-The load-bearing contract is seed stability: for a fixed seed the
-``serial``, ``process`` and ``colonies`` executors of
-:func:`repro.aco.parallel.parallel_aco_layering` must return the *same* best
-solution, and ``exchange_every = 0`` must make the batched runtime
-bit-identical to running the colonies independently.
+The load-bearing contract is seed stability: for a fixed seed every colony
+of :func:`repro.aco.parallel.parallel_aco_layering` must be bit-identical to
+a single-colony reference-loop run (``engine="python"``) with that colony's
+derived seed while ``exchange_every = 0``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.aco.parallel import parallel_aco_layering
+from repro.aco.layering_aco import aco_layering_detailed
+from repro.aco.parallel import _derive_colony_seeds, parallel_aco_layering
 from repro.aco.params import ACOParams
-from repro.aco.runtime import colonies_aco_layering
 from repro.experiments.engine import ExperimentEngine, MethodSpec, WorkUnit
 from repro.graph.generators import att_like_dag
 from repro.utils.exceptions import ValidationError
@@ -23,7 +22,7 @@ FAST = ACOParams(n_ants=2, n_tours=2, seed=5)
 
 
 def _colony_view(result):
-    """The per-colony data that must be identical across executors."""
+    """The per-colony data that must match the reference runs."""
     return [
         (c.colony_index, c.seed, c.objective, c.height,
          c.width_including_dummies, c.assignment)
@@ -31,13 +30,26 @@ def _colony_view(result):
     ]
 
 
+def _oracle(g, params, n_colonies):
+    """Colony view and best layering of per-seed reference-loop runs."""
+    seeds = _derive_colony_seeds(params.seed, n_colonies)
+    runs = [aco_layering_detailed(g, params.replace(seed=s, engine="python")) for s in seeds]
+    view = [
+        (i, s, r.metrics.objective, r.metrics.height,
+         r.metrics.width_including_dummies, r.layering.to_dict())
+        for i, (s, r) in enumerate(zip(seeds, runs))
+    ]
+    best = max(runs, key=lambda r: r.metrics.objective)
+    return view, best.layering
+
+
 class TestSeedStability:
     def test_serial_vs_colonies_bit_identical(self):
         g = att_like_dag(25, seed=11)
-        serial = parallel_aco_layering(g, FAST, n_colonies=3, executor="serial")
-        colonies = parallel_aco_layering(g, FAST, n_colonies=3, executor="colonies")
-        assert colonies.layering == serial.layering
-        assert _colony_view(colonies) == _colony_view(serial)
+        view, layering = _oracle(g, FAST, 3)
+        colonies = parallel_aco_layering(g, FAST, n_colonies=3)
+        assert colonies.layering == layering
+        assert _colony_view(colonies) == view
 
     @pytest.mark.parametrize(
         "params",
@@ -53,28 +65,14 @@ class TestSeedStability:
     )
     def test_bit_identity_across_configurations(self, params):
         g = att_like_dag(20, seed=12)
-        serial = parallel_aco_layering(g, params, n_colonies=3, executor="serial")
-        colonies = parallel_aco_layering(g, params, n_colonies=3, executor="colonies")
-        assert _colony_view(colonies) == _colony_view(serial)
-
-    @pytest.mark.slow
-    def test_all_executors_agree(self):
-        g = att_like_dag(18, seed=14)
-        results = {
-            executor: parallel_aco_layering(
-                g, FAST, n_colonies=2, executor=executor, max_workers=2
-            )
-            for executor in ("serial", "thread", "process", "colonies")
-        }
-        baseline = _colony_view(results["serial"])
-        for executor, result in results.items():
-            assert _colony_view(result) == baseline, executor
-            assert result.layering == results["serial"].layering, executor
+        view, _ = _oracle(g, params, 3)
+        colonies = parallel_aco_layering(g, params, n_colonies=3)
+        assert _colony_view(colonies) == view
 
     def test_deterministic_across_repeats(self):
         g = att_like_dag(20, seed=15)
-        a = parallel_aco_layering(g, FAST, n_colonies=3, executor="colonies")
-        b = parallel_aco_layering(g, FAST, n_colonies=3, executor="colonies")
+        a = parallel_aco_layering(g, FAST, n_colonies=3)
+        b = parallel_aco_layering(g, FAST, n_colonies=3)
         assert _colony_view(a) == _colony_view(b)
 
 
@@ -89,31 +87,21 @@ class TestExchange:
     def test_exchange_changes_only_when_enabled(self):
         g = att_like_dag(25, seed=16)
         base = ACOParams(n_ants=3, n_tours=6, seed=3)
-        independent = parallel_aco_layering(g, base, n_colonies=3, executor="colonies")
-        coupled = parallel_aco_layering(
-            g,
-            base.replace(exchange_every=2),
-            n_colonies=3,
-            executor="colonies",
-        )
+        independent = parallel_aco_layering(g, base, n_colonies=3)
+        coupled = parallel_aco_layering(g, base.replace(exchange_every=2), n_colonies=3)
         # The coupled run is still a valid layering and can never be worse
         # than the stretched-LPL seed each colony starts from.
         coupled.layering.validate(g)
         assert coupled.objective > 0
         # Exchange must not silently leak into the independent configuration.
-        again = parallel_aco_layering(g, base, n_colonies=3, executor="colonies")
+        again = parallel_aco_layering(g, base, n_colonies=3)
         assert _colony_view(again) == _colony_view(independent)
 
     def test_exchange_forces_single_batch(self):
-        # Exchange couples the colonies of the single in-process batch; the
-        # colonies back end accepts (and ignores) a max_workers cap.
+        # Exchange couples the colonies of the one in-process pack.
         g = att_like_dag(15, seed=17)
         result = parallel_aco_layering(
-            g,
-            ACOParams(n_ants=2, n_tours=4, seed=1, exchange_every=1),
-            n_colonies=3,
-            executor="colonies",
-            max_workers=4,
+            g, ACOParams(n_ants=2, n_tours=4, seed=1, exchange_every=1), n_colonies=3
         )
         result.layering.validate(g)
 
@@ -131,8 +119,7 @@ class TestEngineIntegration:
         g = att_like_dag(20, seed=20)
         spec = MethodSpec.ant_colony(FAST, n_colonies=3)
         layering = spec.resolve()(g)
-        direct = colonies_aco_layering(g, FAST, n_colonies=3)
-        assert layering == direct.layering
+        assert layering == parallel_aco_layering(g, FAST, n_colonies=3).layering
 
     def test_engine_accepts_colonies_executor(self):
         g = att_like_dag(15, seed=21)

@@ -86,7 +86,7 @@ class TestAcoAgainstBaselines:
     def test_parallel_colonies_at_least_single(self):
         g = att_like_dag(25, seed=5)
         single = evaluate_layering(g, aco_layering(g, FAST)).objective
-        multi = parallel_aco_layering(g, FAST, n_colonies=3, executor="serial").objective
+        multi = parallel_aco_layering(g, FAST, n_colonies=3).objective
         assert multi >= single - 1e-12
 
 

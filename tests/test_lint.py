@@ -407,19 +407,6 @@ def _lockstep_walks(*, succ_indptr, succ_indices, pred_indptr, pred_indices,
     pass
 
 
-def run_walks_batch(problem, params, orders, uniforms):
-    return _native.run_walks_native(
-        lib,
-        n_threads=_native.effective_threads(n_tasks=2),
-        orders=orders,
-        uniforms=uniforms,
-        succ_indptr=problem.succ_indptr,
-        succ_indices=problem.succ_indices,
-        pred_indptr=problem.pred_indptr,
-        pred_indices=problem.pred_indices,
-    )
-
-
 def run_walks_packed(packed, params, walk_graph, orders, uniforms):
     return _native.run_walks_native(
         lib,
@@ -456,16 +443,14 @@ class TestKernelContractRule:
 
     def test_missing_csr_anchor_flagged(self, tmp_path):
         # Drop one CSR pointer from prototype, argtypes, wrapper, lockstep
-        # and both call sites consistently — every parity check stays happy,
+        # and the call site consistently — every parity check stays happy,
         # only the required-anchor check can catch the loss.
         broken_native = (
             NATIVE_OK.replace("    const int64_t *pred_indices,\n", "")
             .replace("        _I64,  # pred_indices\n", "")
             .replace("    pred_indices: np.ndarray,\n", "")
         )
-        broken_kernels = KERNELS_OK.replace(
-            "        pred_indices=problem.pred_indices,\n", ""
-        ).replace("        pred_indices=packed.pred_indices,\n", "")
+        broken_kernels = KERNELS_OK.replace("        pred_indices=packed.pred_indices,\n", "")
         broken_kernels = broken_kernels.replace(
             "def _lockstep_walks(*, succ_indptr, succ_indices, pred_indptr, pred_indices,",
             "def _lockstep_walks(*, succ_indptr, succ_indices, pred_indptr,",
@@ -533,22 +518,12 @@ class TestKernelContractRule:
             f.code == "RPL004" and "uniform_draws" in f.message for f in report.findings
         )
 
-    def test_entry_signature_drift_flagged(self, tmp_path):
-        broken = KERNELS_OK.replace(
-            "def run_walks_packed(packed, params, walk_graph, orders, uniforms):",
-            "def run_walks_packed(packed, params, walk_graph, uniforms, orders):",
-        )
-        report = lint_kernel_pair(tmp_path, NATIVE_OK, broken)
-        assert any(
-            f.code == "RPL004" and "run_walks_packed" in f.message for f in report.findings
-        )
-
     def test_positional_arity_drift_flagged(self, tmp_path):
         runtime = """
-        from .kernels import run_walks_batch
+        from .kernels import run_walks_packed
 
-        def drive(problem, params, orders, uniforms, extra):
-            run_walks_batch(problem, params, orders, uniforms, extra)
+        def drive(packed, params, walk_graph, orders, uniforms, extra):
+            run_walks_packed(packed, params, walk_graph, orders, uniforms, extra)
         """
         aco = tmp_path / "aco"
         aco.mkdir()
@@ -557,7 +532,7 @@ class TestKernelContractRule:
         (aco / "runtime.py").write_text(textwrap.dedent(runtime), encoding="utf-8")
         report = run_lint(["aco"], root=tmp_path)
         assert any(
-            f.code == "RPL004" and "5 positional" in f.message for f in report.findings
+            f.code == "RPL004" and "6 positional" in f.message for f in report.findings
         )
 
     def test_real_tree_contract_holds(self):

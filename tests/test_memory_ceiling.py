@@ -1,11 +1,13 @@
-"""Memory-ceiling regression test for the CSR-only kernel data path.
+"""Memory-ceiling regression tests for the kernel data path.
 
 The historical padded-neighbour stacks (``succ_pad``/``pred_pad``) are
 O(V·max_degree): on a star-heavy 10⁵-vertex graph with hubs of degree 10³
 they alone would cost ~800 MB.  The CSR-only path keeps problem build,
-packing, shared-memory publish and a full packed tour at O(V+E) — this test
-pins that with a ``tracemalloc`` peak assertion (NumPy registers its data
-allocations with tracemalloc, so the kernel state arrays are counted).
+packing and a full packed tour at O(V+E) — the first test pins that with a
+``tracemalloc`` peak assertion (NumPy registers its data allocations with
+tracemalloc, so the kernel state arrays are counted).  The second pins one
+dense pheromone trail per single-colony run: the colony must not keep a
+trail of its own beside the one the tour loop allocates.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import tracemalloc
 
 import pytest
 
+from repro.aco.layering_aco import aco_layering
 from repro.aco.params import ACOParams
 from repro.aco.problem import LayeringProblem, PackedProblems
 from repro.aco.runtime import run_packed_colonies
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import att_like_dag
 
 #: 100 hubs × 1000 leaves: |V| just over 10⁵, |E| = 10⁵, max degree 10³.
 N_HUBS = 100
@@ -67,3 +71,21 @@ def test_giant_star_graph_stays_linear_memory():
     assert packed._succ_pad_cache is None
     # …and the whole build + pack + tour stays well under the padded regime.
     assert peak < PEAK_CEILING_BYTES, f"peak {peak / 1e6:.0f} MB exceeds ceiling"
+
+
+def test_single_colony_holds_one_dense_trail():
+    graph = att_like_dag(800, seed=3)
+    # The stretched problem has |V| layers, so one trail is n x (n + 1) doubles.
+    trail_bytes = 800 * 801 * 8
+    aco_layering(att_like_dag(20, seed=1))  # load the kernel outside the trace
+
+    tracemalloc.start()
+    try:
+        aco_layering(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    # One trail plus O(V+E) state measured at 1.26 trails; a second dense
+    # trail would put the peak above 2.
+    assert peak < 1.6 * trail_bytes, f"peak {peak / trail_bytes:.2f} trails"

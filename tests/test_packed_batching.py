@@ -13,9 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.aco.colony import AntColony
+from repro.aco.layering_aco import aco_layering_detailed
+from repro.aco.parallel import _derive_colony_seeds
 from repro.aco.params import ACOParams
 from repro.aco.problem import LayeringProblem, PackedProblems
-from repro.aco.runtime import run_colonies_batch, run_packed_colonies
+from repro.aco.runtime import run_packed_colonies
 from repro.datasets.corpus import att_like_corpus
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import (
@@ -30,7 +33,9 @@ from repro.experiments.engine import (
 )
 from repro.experiments.journal import RunJournal
 from repro.graph.generators import att_like_dag
+from repro.layering.metrics import evaluate_layering
 from repro.utils.exceptions import ValidationError
+from repro.utils.rng import as_generator
 
 FAST = ACOParams(n_ants=2, n_tours=2, seed=3)
 
@@ -69,11 +74,14 @@ class TestPackedBitIdentity:
     def test_engine_matrix(self, engine, native, batch_size, monkeypatch):
         if not native:
             monkeypatch.setenv("REPRO_ACO_NATIVE", "0")
-        params = FAST.replace(engine=engine)
+        # Packs always run the kernel, whatever the spec's engine says; the
+        # reference side is the reference loop run cell by cell.
         graphs = _graphs()
-        units = _units(graphs, MethodSpec.ant_colony(params))
-        serial = ExperimentEngine().run(units)
-        batched = ExperimentEngine(executor="batched", batch_size=batch_size).run(units)
+        oracle = _units(graphs, MethodSpec.ant_colony(FAST.replace(engine="python")))
+        serial = ExperimentEngine().run(oracle)
+        batched = ExperimentEngine(executor="batched", batch_size=batch_size).run(
+            _units(graphs, MethodSpec.ant_colony(FAST.replace(engine=engine)))
+        )
         assert _metric_view(batched) == _metric_view(serial)
 
     @pytest.mark.parametrize(
@@ -88,47 +96,63 @@ class TestPackedBitIdentity:
         ids=["roulette", "q0", "exponents", "bfs", "topological"],
     )
     def test_configuration_matrix(self, params):
-        units = _units(_graphs(), MethodSpec.ant_colony(params))
-        serial = ExperimentEngine().run(units)
-        batched = ExperimentEngine(executor="batched").run(units)
+        graphs = _graphs()
+        oracle = _units(graphs, MethodSpec.ant_colony(params.replace(engine="python")))
+        serial = ExperimentEngine().run(oracle)
+        batched = ExperimentEngine(executor="batched").run(
+            _units(graphs, MethodSpec.ant_colony(params))
+        )
         assert _metric_view(batched) == _metric_view(serial)
 
     def test_multi_colony_portfolio(self):
+        # The reference is one reference-loop run per derived colony seed,
+        # keeping the first colony with the best objective.
+        graphs = _graphs()
+        seeds = _derive_colony_seeds(FAST.seed, 3)
+        expected = []
+        for g in graphs:
+            runs = [
+                aco_layering_detailed(g, FAST.replace(seed=s, engine="python"))
+                for s in seeds
+            ]
+            best = max(runs, key=lambda r: r.metrics.objective)
+            expected.append(evaluate_layering(g, best.layering, nd_width=1.0))
         spec = MethodSpec.ant_colony(FAST, n_colonies=3)
-        units = _units(_graphs(), spec)
-        serial = ExperimentEngine().run(units)
-        batched = ExperimentEngine(executor="batched").run(units)
-        assert _metric_view(batched) == _metric_view(serial)
+        batched = ExperimentEngine(executor="batched").run(_units(graphs, spec))
+        assert [c.metrics for c in batched] == expected
 
     def test_runtime_level_identity(self):
         problems = [LayeringProblem.from_graph(g) for g in _graphs()]
         packed = PackedProblems.pack(problems)
         seeds = [[FAST.seed], [11, 22], [FAST.seed], [33], [44, 55, 66]]
-        reference = [
-            run_colonies_batch(p, FAST, s) for p, s in zip(problems, seeds)
-        ]
+        oracle = FAST.replace(engine="python")
         outcomes = run_packed_colonies(packed, FAST, seeds)
-        for ref, got in zip(reference, outcomes):
-            assert [o.score for o in got] == [o.score for o in ref]
-            for mine, theirs in zip(got, ref):
-                assert np.array_equal(mine.assignment, theirs.assignment)
+        for problem, graph_seeds, got in zip(problems, seeds, outcomes):
+            for seed, mine in zip(graph_seeds, got):
+                ref = AntColony(problem, oracle, rng=as_generator(seed)).run()
+                assert mine.score == ref.best.score
+                assert np.array_equal(mine.assignment, ref.best.assignment)
+                assert mine.ant_id == ref.best.ant_id
+                assert mine.history == ref.history
 
     def test_full_five_algorithm_comparison(self):
         corpus = att_like_corpus(graphs_per_group=1, vertex_counts=(10, 20, 30))
-        specs = default_method_specs(aco_params=FAST)
-        units = [
-            WorkUnit(
-                graph=e.graph,
-                method=spec,
-                graph_name=e.name,
-                vertex_count=e.vertex_count,
-                label=name,
-            )
-            for e in corpus
-            for name, spec in specs.items()
-        ]
-        serial = ExperimentEngine().run(units)
-        batched = ExperimentEngine(executor="batched").run(units)
+
+        def units(aco_params):
+            return [
+                WorkUnit(
+                    graph=e.graph,
+                    method=spec,
+                    graph_name=e.name,
+                    vertex_count=e.vertex_count,
+                    label=name,
+                )
+                for e in corpus
+                for name, spec in default_method_specs(aco_params=aco_params).items()
+            ]
+
+        serial = ExperimentEngine().run(units(FAST.replace(engine="python")))
+        batched = ExperimentEngine(executor="batched").run(units(FAST))
         assert _metric_view(batched) == _metric_view(serial)
 
 
