@@ -5,8 +5,8 @@ real :class:`repro.serving.LayoutServer` — loop thread, admission queue,
 megabatch worker and two-layer cache all live — recording:
 
 * ``fault_free`` — requests/sec and p50/p99 latency for a mixed workload:
-  a set of distinct small DAGs (cache misses that the batch window
-  coalesces into ``PackedProblems`` megabatches) cycled past its own size
+  a set of distinct small DAGs (cache misses; those that queue behind a
+  busy worker coalesce into ``PackedProblems`` megabatches) cycled past its own size
   so later arrivals repeat earlier graphs and are answered from the
   ``ResultCache``.  The generator is open-loop (request ``i`` launches at
   ``i/rate`` regardless of completions), so a slow server shows up as
@@ -136,7 +136,6 @@ def _one_pass(
         announce=False,
         prewarm=False,
         exit_on_drain_timeout=False,
-        batch_window_s=0.02,
     )
     previous_rule = os.environ.get(chaos.CHAOS_ENV)
     if faulted:

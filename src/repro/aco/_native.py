@@ -171,14 +171,13 @@ static void run_walk_range(const walk_args *wa, int64_t start, int64_t end,
         const double *tau_mat = wa->tau + wa->tau_index[a] * n_vertices * n_cols;
         /* Cross-graph batching: each walk may belong to a different graph,
            named by per-walk base offsets into the packed (block-diagonal)
-           arrays.  NULL per-walk arrays mean the uniform single-graph case;
-           walks shorter than the batch stride simply stop early (masked
-           termination). */
-        int64_t steps = wa->walk_steps ? wa->walk_steps[a] : n_vertices;
-        int64_t vbase = wa->walk_vbase ? wa->walk_vbase[a] : 0;
-        const int64_t *sip = wa->succ_indptr + (wa->walk_ibase ? wa->walk_ibase[a] : 0);
-        const int64_t *pip = wa->pred_indptr + (wa->walk_ibase ? wa->walk_ibase[a] : 0);
-        int64_t n_layers = wa->walk_layers ? wa->walk_layers[a] : n_cols - 1;
+           arrays.  Walks shorter than the batch stride simply stop early
+           (masked termination). */
+        int64_t steps = wa->walk_steps[a];
+        int64_t vbase = wa->walk_vbase[a];
+        const int64_t *sip = wa->succ_indptr + wa->walk_ibase[a];
+        const int64_t *pip = wa->pred_indptr + wa->walk_ibase[a];
+        int64_t n_layers = wa->walk_layers[a];
 
         for (int64_t step = 0; step < steps; step++) {
             int64_t v = order[step];
@@ -323,10 +322,10 @@ void run_walks(
     const double *vertex_widths,
     const double *tau,              /* n_matrices x n_vertices x n_cols, pre-powered by alpha */
     const int64_t *tau_index,       /* n_ants: which tau matrix each walk reads */
-    const int64_t *walk_steps,      /* n_ants: construction steps per walk, or NULL (= n_vertices) */
-    const int64_t *walk_vbase,      /* n_ants: per-walk offset into degree/width arrays, or NULL */
-    const int64_t *walk_ibase,      /* n_ants: per-walk offset into the CSR indptr arrays, or NULL */
-    const int64_t *walk_layers,     /* n_ants: per-walk layer count, or NULL (= n_cols - 1) */
+    const int64_t *walk_steps,      /* n_ants: construction steps per walk */
+    const int64_t *walk_vbase,      /* n_ants: per-walk offset into degree/width arrays */
+    const int64_t *walk_ibase,      /* n_ants: per-walk offset into the CSR indptr arrays */
+    const int64_t *walk_layers,     /* n_ants: per-walk layer count */
     int64_t beta_mode,              /* 0..5: decomposed integer exponent */
     double nd_width,
     double epsilon,
@@ -491,10 +490,10 @@ def load_native() -> ctypes.CDLL | None:
             _F64,  # vertex_widths
             _F64,  # tau (stack of matrices)
             _I64,  # tau_index
-            ctypes.c_void_p,  # walk_steps (nullable)
-            ctypes.c_void_p,  # walk_vbase (nullable)
-            ctypes.c_void_p,  # walk_ibase (nullable)
-            ctypes.c_void_p,  # walk_layers (nullable)
+            _I64,  # walk_steps
+            _I64,  # walk_vbase
+            _I64,  # walk_ibase
+            _I64,  # walk_layers
             ctypes.c_int64,  # beta_mode
             ctypes.c_double,  # nd_width
             ctypes.c_double,  # epsilon
@@ -580,22 +579,20 @@ def run_walks_native(
     real: np.ndarray,
     crossing: np.ndarray,
     occupancy: np.ndarray,
-    walk_steps: np.ndarray | None = None,
-    walk_vbase: np.ndarray | None = None,
-    walk_ibase: np.ndarray | None = None,
-    walk_layers: np.ndarray | None = None,
+    walk_steps: np.ndarray,
+    walk_vbase: np.ndarray,
+    walk_ibase: np.ndarray,
+    walk_layers: np.ndarray,
 ) -> None:
     """Run all walks of one tour in C, mutating the per-ant state in place.
 
     *tau* is a contiguous stack of one or more pre-powered pheromone matrices
     (``(n_matrices, n_vertices, n_cols)``); ``tau_index[a]`` names the matrix
     walk *a* reads, which is what lets one call sweep the ants of several
-    independent colonies in lockstep.  The optional ``walk_*`` arrays extend
-    the same indirection across *graphs*: per-walk step counts, offsets into
+    independent colonies in lockstep.  The ``walk_*`` arrays extend the
+    same indirection across *graphs*: per-walk step counts, offsets into
     the packed degree/width and CSR ``indptr`` arrays, and per-walk layer
-    counts (see :class:`repro.aco.problem.PackedProblems`).  ``None`` means
-    every walk covers all of one graph; :func:`repro.aco.kernels.run_walks_packed`,
-    the only caller, always passes them.
+    counts (see :class:`repro.aco.problem.PackedProblems`).
 
     *n_threads* fans the walk loop out over that many OS threads (resolved
     by :func:`effective_threads`); the result is byte-identical at any
@@ -606,9 +603,6 @@ def run_walks_native(
     n_cols = real.shape[1]
     n_threads = max(1, min(int(n_threads), n_ants, _MAX_THREADS))
     scratch = np.empty((n_threads, n_cols), dtype=np.float64)
-
-    def _opt_i64(arr: np.ndarray | None) -> ctypes.c_void_p | None:
-        return None if arr is None else arr.ctypes.data_as(ctypes.c_void_p)
 
     uniforms_ptr = (
         None
@@ -631,10 +625,10 @@ def run_walks_native(
         vertex_widths,
         tau.reshape(-1, n_cols),
         tau_index,
-        _opt_i64(walk_steps),
-        _opt_i64(walk_vbase),
-        _opt_i64(walk_ibase),
-        _opt_i64(walk_layers),
+        walk_steps,
+        walk_vbase,
+        walk_ibase,
+        walk_layers,
         int(beta),
         nd_width,
         epsilon,

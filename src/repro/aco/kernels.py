@@ -58,7 +58,6 @@ __all__ = [
     "fused_pow",
     "select_from_scores",
     "draw_walk_randomness",
-    "batched_layer_spans",
     "run_walks_packed",
     "evaluate_assignment_vectorized",
 ]
@@ -160,7 +159,7 @@ def _csr_gather(
     Returns ``(owner, neighbours)`` where ``neighbours`` is the concatenation
     of every row's neighbour segment ``indices[indptr[v[a]]:indptr[v[a]+1]]``
     and ``owner[j]`` names the row the ``j``-th neighbour belongs to.  This is
-    the O(E-touched) building block behind the batched span bounds — no
+    the O(E-touched) building block behind the lockstep's span bounds — no
     rectangular padded matrix is ever materialised.
     """
     start = indptr[v]
@@ -173,33 +172,6 @@ def _csr_gather(
     seg_start = np.cumsum(count) - count
     within = np.arange(total) - seg_start[owner]
     return owner, indices[start[owner] + within]
-
-
-def batched_layer_spans(
-    problem: LayeringProblem, assignment_ext: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible layer spans of vertex ``v[a]`` under each ant's assignment.
-
-    *assignment_ext* is the per-ant assignment matrix (row ``a`` holds ant
-    ``a``'s layers; only the first ``n_vertices`` columns are read, so the
-    historical two-sentinel-column extended matrix is still accepted).  The
-    bounds come straight from the CSR adjacency: a segmented ``max`` over
-    each vertex's successors (``+1``) and a segmented ``min`` over its
-    predecessors (``-1``), with the empty-segment identities layer ``0`` and
-    ``n_layers + 1``.
-    """
-    n_rows = assignment_ext.shape[0]
-    lo = np.zeros(n_rows, dtype=np.int64)
-    owner, nbrs = _csr_gather(problem.succ_indptr, problem.succ_indices, v)
-    if owner.size:
-        np.maximum.at(lo, owner, assignment_ext[owner, nbrs])
-    lo += 1
-    hi = np.full(n_rows, problem.n_layers + 1, dtype=np.int64)
-    owner, nbrs = _csr_gather(problem.pred_indptr, problem.pred_indices, v)
-    if owner.size:
-        np.minimum.at(hi, owner, assignment_ext[owner, nbrs])
-    hi -= 1
-    return lo, hi
 
 
 def evaluate_assignment_vectorized(

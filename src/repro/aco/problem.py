@@ -10,7 +10,7 @@ LPL layering followed by stretching to ``|V|`` layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,43 +32,6 @@ def _csr_arrays(adjacency: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
         (w for nbrs in adjacency for w in nbrs), dtype=np.int64, count=int(indptr[-1])
     )
     return indptr, indices
-
-
-def _padded_neighbours(adjacency: list[list[int]], *, sentinel: int) -> np.ndarray:
-    """Rectangular neighbour matrix, short rows padded with *sentinel*.
-
-    O(V·max_degree) memory — quadratic on star-heavy graphs — so it is only
-    built lazily, behind the ``succ_pad``/``pred_pad`` cached properties, for
-    the few padded-gather consumers left outside the CSR kernel path.
-    """
-    width = max((len(nbrs) for nbrs in adjacency), default=1)
-    width = max(width, 1)
-    pad = np.full((len(adjacency), width), sentinel, dtype=np.int64)
-    for v, nbrs in enumerate(adjacency):
-        if nbrs:
-            pad[v, : len(nbrs)] = nbrs
-    return pad
-
-
-def _packed_pad_from_lists(
-    adjacencies: list[list[list[int]]], vert_offset: np.ndarray, *, sentinel: int
-) -> np.ndarray:
-    """Padded neighbour stack over a whole pack, one graph block per row range.
-
-    Neighbour ids stay local to each graph (matching the packed CSR
-    ``indices``); short rows get the pack-wide *sentinel* column.
-    """
-    width = max(
-        max((len(nbrs) for nbrs in adj), default=1) for adj in adjacencies
-    )
-    width = max(width, 1)
-    pad = np.full((int(vert_offset[-1]), width), sentinel, dtype=np.int64)
-    for g, adj in enumerate(adjacencies):
-        base = int(vert_offset[g])
-        for v, nbrs in enumerate(adj):
-            if nbrs:
-                pad[base + v, : len(nbrs)] = nbrs
-    return pad
 
 
 @dataclass
@@ -128,34 +91,6 @@ class LayeringProblem:
     nd_width: float
     initial_assignment: np.ndarray
     lpl_height: int
-    _succ_pad_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _pred_pad_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def succ_pad(self) -> np.ndarray:
-        """Rectangular ``(n_vertices, max_degree)`` successor matrix, lazily built.
-
-        Short rows are padded with the sentinel column ``n_vertices`` (a
-        consumer keeping an extended assignment row maps it to layer ``0``).
-        O(V·max_degree) memory — the walk kernels never touch it; it exists
-        only for padded-gather consumers and is materialised on first access.
-        """
-        if self._succ_pad_cache is None:
-            self._succ_pad_cache = _padded_neighbours(self.succ, sentinel=self.n_vertices)
-        return self._succ_pad_cache
-
-    @property
-    def pred_pad(self) -> np.ndarray:
-        """Rectangular predecessor matrix with sentinel ``n_vertices + 1``.
-
-        The lazy, O(V·max_degree) twin of :attr:`succ_pad` (sentinel maps to
-        layer ``n_layers + 1`` in an extended assignment row).
-        """
-        if self._pred_pad_cache is None:
-            self._pred_pad_cache = _padded_neighbours(
-                self.pred, sentinel=self.n_vertices + 1
-            )
-        return self._pred_pad_cache
 
     # ------------------------------------------------------------------ #
     # construction
@@ -390,38 +325,6 @@ class PackedProblems:
     init_real: np.ndarray
     init_crossing: np.ndarray
     init_occupancy: np.ndarray
-    _succ_pad_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _pred_pad_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def succ_pad(self) -> np.ndarray:
-        """Lazy ``(total_vertices, max_degree)`` successor stack (local ids).
-
-        Padded with the *pack-wide* sentinel column ``max_n_vertices``
-        (layer 0 in an extended assignment row).  O(V·max_degree) — only
-        padded-gather consumers pay for it, never the kernel path.
-        """
-        if self._succ_pad_cache is None:
-            self._succ_pad_cache = _packed_pad_from_lists(
-                [p.succ for p in self.problems],
-                self.vert_offset,
-                sentinel=self.max_n_vertices,
-            )
-        return self._succ_pad_cache
-
-    @property
-    def pred_pad(self) -> np.ndarray:
-        """Lazy predecessor stack with the pack-wide sentinel ``max_n_vertices + 1``
-        (layer ``n_layers_g + 1`` — a per-walk value, so the sentinel column
-        of an extended assignment matrix is filled per walk).
-        """
-        if self._pred_pad_cache is None:
-            self._pred_pad_cache = _packed_pad_from_lists(
-                [p.pred for p in self.problems],
-                self.vert_offset,
-                sentinel=self.max_n_vertices + 1,
-            )
-        return self._pred_pad_cache
 
     @property
     def n_graphs(self) -> int:

@@ -24,9 +24,10 @@ Installed as the ``repro-dag`` console script (also reachable via
     result-cache directory.
 ``serve``
     Run the layout service (:mod:`repro.serving`): an HTTP/JSON front end
-    that answers repeat requests from the result cache, coalesces
-    concurrent misses into cross-graph megabatches, sheds load beyond a
-    bounded queue (429), and drains gracefully on SIGTERM.
+    that answers repeat requests from the result cache's memory layer at
+    once, coalesces the misses that queue behind a busy worker into
+    cross-graph megabatches, sheds load beyond a bounded queue (429), and
+    drains gracefully on SIGTERM.
 
 The experiment sub-commands (``compare``, ``figures``, ``tune``) dispatch
 their (graph × algorithm) cells through the shared experiment engine
@@ -640,7 +641,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        batch_window_s=args.batch_window,
         batch_size=args.batch_size,
         max_queue=args.max_queue,
         request_timeout_s=args.timeout,
@@ -780,17 +780,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="run the layout service (HTTP/JSON, megabatching, graceful drain)",
+        help=(
+            "run the layout service (HTTP/JSON; cached answers at once, misses "
+            "that queue behind a busy worker share one megabatch; graceful drain)"
+        ),
     )
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     p_serve.add_argument(
         "--port", type=int, default=8377, help="TCP port; 0 binds an ephemeral port (default 8377)"
-    )
-    p_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.02,
-        help="seconds to wait for concurrent misses to coalesce (default 0.02)",
     )
     p_serve.add_argument(
         "--batch-size", type=int, default=128, help="megabatch pack size cap (default 128)"
@@ -799,7 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue",
         type=int,
         default=256,
-        help="admission bound; queued requests beyond this get 429 (default 256)",
+        help=(
+            "admission bound; queued requests beyond this get 429, cached "
+            "answers never queue (default 256)"
+        ),
     )
     p_serve.add_argument(
         "--timeout",

@@ -54,6 +54,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -187,6 +188,10 @@ class ResultCache:
     never go stale, and a warm full-corpus run stops re-reading and
     re-parsing one JSON file per cell.  :meth:`hit_stats` reports the
     per-layer hit/miss counters (``repro-dag cache stats`` prints them).
+
+    One lock guards the LRU and the counters, so threads may share an
+    instance: ``repro-dag serve`` answers memory hits on its loop thread
+    (:meth:`lookup_memory`) while its batch worker reads and writes.
     """
 
     def __init__(
@@ -203,7 +208,7 @@ class ResultCache:
         self._memory_misses = 0
         self._disk_hits = 0
         self._disk_misses = 0
-        self._quarantined = 0
+        self._lock = threading.Lock()
 
     def path_for(self, key: str) -> Path:
         """Where the entry for *key* lives (two-character shard directories)."""
@@ -235,26 +240,46 @@ class ResultCache:
                     return  # another process moved/removed it first
                 continue  # quarantine dir pruned from under us: re-create it
             except OSError:
-                return
-            self._quarantined += 1
+                pass
             return
 
     def _remember(self, key: str, cell: CachedCell) -> None:
         if self.memory_entries == 0:
             return
-        self._memory[key] = cell
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
+        with self._lock:
+            self._memory[key] = cell
+            self._memory.move_to_end(key)
+            while len(self._memory) > self.memory_entries:
+                self._memory.popitem(last=False)
 
     def hit_stats(self) -> CacheHitStats:
         """This process's hit/miss counters for the memory and disk layers."""
-        return CacheHitStats(
-            memory_hits=self._memory_hits,
-            memory_misses=self._memory_misses,
-            disk_hits=self._disk_hits,
-            disk_misses=self._disk_misses,
-        )
+        with self._lock:
+            return CacheHitStats(
+                memory_hits=self._memory_hits,
+                memory_misses=self._memory_misses,
+                disk_hits=self._disk_hits,
+                disk_misses=self._disk_misses,
+            )
+
+    def _recall(self, key: str, *, count_miss: bool) -> CachedCell | None:
+        with self._lock:
+            cell = self._memory.get(key)
+            if cell is not None:
+                self._memory_hits += 1
+                self._memory.move_to_end(key)
+            elif count_miss:
+                self._memory_misses += 1
+            return cell
+
+    def lookup_memory(self, key: str) -> CachedCell | None:
+        """Look *key* up in the memory layer only; never reads disk.
+
+        A hit counts as a memory hit.  A miss counts nothing, because the
+        caller is expected to fall back to :meth:`get`, which counts it: so
+        one logical lookup still adds exactly one memory hit or miss.
+        """
+        return self._recall(key, count_miss=False)
 
     def get(self, key: str) -> CachedCell | None:
         """Look up a cell result, verifying the entry's embedded checksum.
@@ -264,17 +289,24 @@ class ResultCache:
         *corrupt*: it is quarantined to ``corrupt/`` and reported as a miss,
         so the cell is recomputed rather than trusted.
         """
-        cell = self._memory.get(key)
+        cell = self._recall(key, count_miss=True)
         if cell is not None:
-            self._memory_hits += 1
-            self._memory.move_to_end(key)
             return cell
-        self._memory_misses += 1
+        cell = self._read_disk(key)
+        with self._lock:
+            if cell is None:
+                self._disk_misses += 1
+                return None
+            self._disk_hits += 1
+        self._remember(key, cell)
+        return cell
+
+    def _read_disk(self, key: str) -> CachedCell | None:
+        """The verified entry file of *key*, or ``None`` on any kind of miss."""
         path = self.path_for(key)
         try:
             raw = path.read_text(encoding="utf-8")
         except OSError:
-            self._disk_misses += 1
             return None
         try:
             record = json.loads(raw)
@@ -288,7 +320,6 @@ class ResultCache:
             or content_digest(record) != stored_sha
         ):
             self._quarantine(path)
-            self._disk_misses += 1
             return None
         try:
             metrics = LayeringMetrics(**{f: record["metrics"][f] for f in _METRIC_FIELDS})
@@ -296,12 +327,8 @@ class ResultCache:
         except (KeyError, TypeError, ValueError):
             # Checksum-valid but unparsable: schema skew, not bit rot.  A
             # version bump should have orphaned it; treat as a plain miss.
-            self._disk_misses += 1
             return None
-        cell = CachedCell(metrics=metrics, running_time=running_time)
-        self._disk_hits += 1
-        self._remember(key, cell)
-        return cell
+        return CachedCell(metrics=metrics, running_time=running_time)
 
     def put(
         self,
@@ -479,7 +506,8 @@ class ResultCache:
         # The memory layer mirrors the disk store; dropping it wholesale
         # keeps the contract that pruned entries are misses (and pruning is
         # rare maintenance, so a cold LRU afterwards costs nothing).
-        self._memory.clear()
+        with self._lock:
+            self._memory.clear()
         if max_size_bytes is not None and max_size_bytes < 0:
             raise ValidationError(f"max_size_bytes must be >= 0, got {max_size_bytes}")
         if older_than_seconds is not None and older_than_seconds < 0:

@@ -138,6 +138,7 @@ __all__ = [
     "RunProgress",
     "ExperimentEngine",
     "default_method_specs",
+    "unit_cache_key",
 ]
 
 #: Executor names accepted by the engine: the generic pool back ends,
@@ -251,8 +252,16 @@ class MethodSpec:
 
     @property
     def cacheable(self) -> bool:
-        """Whether results of this method may be stored in the result cache."""
-        return self.func is None
+        """Whether results of this method may be stored in the result cache.
+
+        A callable cannot be identified by content, and an Ant Colony spec
+        with ``seed=None`` draws fresh entropy on every run, so a stored
+        answer must not stand in for a new one.  The journal uses the same
+        predicate: ``--resume`` re-runs such cells.
+        """
+        if self.func is not None:
+            return False
+        return self.aco_params is None or self.aco_params.get("seed") is not None
 
     def resolve(self) -> LayeringAlgorithm:
         """Materialise the actual ``graph -> Layering`` callable."""
@@ -298,7 +307,9 @@ class MethodSpec:
     def cache_token(self) -> dict[str, Any]:
         """The method's contribution to the content-addressed cache key."""
         if not self.cacheable:
-            raise ValidationError(f"method {self.name!r} wraps a callable and is not cacheable")
+            raise ValidationError(
+                f"method {self.name!r} is not cacheable (a callable or an unseeded Ant Colony)"
+            )
         return self.to_dict()
 
 
@@ -351,6 +362,18 @@ class WorkUnit:
     def cell_id(self) -> str:
         """``algorithm:graph_name`` identifier used by the fault-injection hook."""
         return f"{self.algorithm}:{self.resolved_graph_name}"
+
+
+def unit_cache_key(unit: WorkUnit, graph_digest: str | None = None) -> str:
+    """The result-cache (and journal) key of a cacheable *unit*.
+
+    The engine and ``repro-dag serve`` both derive keys here, so a request
+    finds exactly the entries that engine runs stored.  Pass *graph_digest*
+    when the caller already digested ``unit.graph``.
+    """
+    if graph_digest is None:
+        graph_digest = content_digest(to_json_dict(unit.graph))
+    return cache_key(graph_digest, unit.method.cache_token(), unit.nd_width)
 
 
 @dataclass(frozen=True)
@@ -774,9 +797,7 @@ class ExperimentEngine:
         want_key = self.cache is not None or self.journal is not None
         for i, unit in enumerate(units):
             if want_key and unit.method.cacheable:
-                key = cache_key(
-                    graph_digest(unit.graph), unit.method.cache_token(), unit.nd_width
-                )
+                key = unit_cache_key(unit, graph_digest(unit.graph))
                 keys[i] = key
                 journaled = replay.get(key)
                 if journaled is not None:

@@ -1,14 +1,21 @@
 """Resilient layout-as-a-service: the ``repro-dag serve`` front end.
 
-One asyncio loop thread accepts HTTP/JSON layering requests and funnels
-them through a bounded admission queue to a single warm worker thread.
-The worker turns each drained batch of requests into one
+One asyncio loop thread accepts HTTP/JSON layering requests.  A request
+whose answer is in the memory layer of the
+:class:`~repro.experiments.cache.ResultCache` is answered right there, on
+the loop thread, before admission: it takes no queue slot and no worker
+time.  Every other request goes through a bounded admission queue to a
+single warm worker thread, which turns each drained batch into one
 :class:`~repro.experiments.engine.ExperimentEngine` run with the
 ``"batched"`` executor, so concurrent cache misses coalesce into
 cross-graph :class:`~repro.aco.problem.PackedProblems` megabatches exactly
 as a CLI corpus run would — same planner, same grouping by canonical
-method token and ``nd_width``, same two-layer
-:class:`~repro.experiments.cache.ResultCache` in front.
+method token and ``nd_width``, same cache keys.
+
+There is no batching window.  The worker takes everything queued the
+moment it is free, so a lone miss is dispatched at once, and requests
+coalesce only while they wait behind an in-flight batch: batches grow with
+load instead of every request paying a fixed sleep.
 
 Robustness contract (see README "Serving"):
 
@@ -20,7 +27,8 @@ Robustness contract (see README "Serving"):
   ``504`` without poisoning its batch-mates.
 * **Backpressure, not collapse.**  Admission beyond
   :attr:`ServeConfig.max_queue` queued requests answers ``429`` with a
-  ``Retry-After`` hint; accepted work is never silently dropped.
+  ``Retry-After`` hint; accepted work is never silently dropped.  Memory
+  hits are answered before this check, so they are served under any load.
 * **Bounded crash retries.**  Only ``kind == "crash"`` cell failures
   (a worker process died under the cell) are requeued, at most
   :attr:`ServeConfig.crash_retries` times; exceptions and timeouts answer
@@ -34,7 +42,8 @@ Packs run in-process on the batch worker thread; their only parallelism is
 the walk kernel's ``REPRO_ACO_THREADS`` threads, so the server never forks.
 
 ``REPRO_CHAOS`` rules target request cells by ``method:name`` exactly as
-they target CLI cells, because the request path *is* the engine path.
+they target CLI cells, because the request path *is* the engine path (a
+cache hit executes no cell, on either path).
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from repro.experiments.engine import (
     ExperimentEngine,
     MethodSpec,
     WorkUnit,
+    unit_cache_key,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.io import from_json_dict
@@ -97,17 +107,19 @@ RESPONSE_GRACE = 0.25
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tunables of one :class:`LayoutServer` instance."""
+    """Tunables of one :class:`LayoutServer` instance.
+
+    A batch is whatever queued while the worker was busy, so no setting
+    sizes it or delays it.
+    """
 
     host: str = "127.0.0.1"
     #: TCP port; ``0`` binds an ephemeral port (announced on stdout).
     port: int = 8377
-    #: Seconds the batcher waits after the first queued miss so concurrent
-    #: arrivals coalesce into the same megabatch.  ``0`` disables the window.
-    batch_window_s: float = 0.02
     #: Pack size cap handed to the engine's batch planner.
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Admission bound: queued requests beyond this answer ``429``.
+    #: Admission bound: queued requests beyond this answer ``429``.  Memory
+    #: hits never queue, so they are answered even when the queue is full.
     max_queue: int = 256
     #: Default per-request budget when the request carries no ``deadline_s``.
     request_timeout_s: float = 30.0
@@ -189,9 +201,9 @@ def _parse_method(payload: Mapping[str, Any], nd_width: float) -> MethodSpec:
     if not isinstance(aco, Mapping):
         raise ValidationError("request field 'aco' must be a JSON object")
     aco = dict(aco)
-    # Deterministic by default: an unseeded request would bypass both the
+    # Deterministic by default: an unseeded request bypasses both the
     # result cache and the pack planner.  Clients that *want* fresh entropy
-    # pass "seed": null explicitly.
+    # pass "seed": null explicitly, and every such request runs anew.
     if "seed" not in aco:
         aco["seed"] = 0
     if "nd_width" in aco:
@@ -579,14 +591,6 @@ class LayoutServer:
         if self._draining:
             self.counters.rejected_draining += 1
             return 503, {"error": "draining"}, {}
-        if len(self._queue) >= self.config.max_queue:
-            self.counters.rejected_overload += 1
-            retry_after = self.config.retry_after_s
-            return (
-                429,
-                {"error": "overloaded", "retry_after_s": retry_after},
-                {"Retry-After": str(max(1, math.ceil(retry_after)))},
-            )
         try:
             payload = request.json()
             unit, budget = build_unit(
@@ -600,6 +604,17 @@ class LayoutServer:
         except ReproError as exc:
             self.counters.bad_requests += 1
             return 400, {"error": "bad request", "detail": str(exc)}, {}
+        hit = self._memory_hit(unit)
+        if hit is not None:
+            return 200, hit, {}
+        if len(self._queue) >= self.config.max_queue:
+            self.counters.rejected_overload += 1
+            retry_after = self.config.retry_after_s
+            return (
+                429,
+                {"error": "overloaded", "retry_after_s": retry_after},
+                {"Retry-After": str(max(1, math.ceil(retry_after)))},
+            )
         if self.config.memory_budget is not None:
             spec = unit.method
             aco = dict(spec.aco_params or {})
@@ -645,6 +660,22 @@ class LayoutServer:
             }
         return status, body, {}
 
+    def _memory_hit(self, unit: WorkUnit) -> dict[str, Any] | None:
+        """The answer to *unit* when the cache's memory layer holds it.
+
+        Runs on the loop thread and never reads disk (disk hits go through
+        the worker).  The body is the one the engine builds for a hit.
+        """
+        if not unit.method.cacheable:
+            return None
+        hit = self._cache.lookup_memory(unit_cache_key(unit))
+        if hit is None:
+            return None
+        cell = ExperimentEngine._finished(
+            unit, hit.metrics, None, hit.running_time, cached=True
+        )
+        return _success_payload(cell, cell.attempts)
+
     # ------------------------------------------------------------------ #
     # batching
     # ------------------------------------------------------------------ #
@@ -658,15 +689,10 @@ class LayoutServer:
                 return
             if not self._queue:
                 continue
-            if self.config.batch_window_s > 0 and not self._closing:
-                # The coalescing window: one short sleep after the first
-                # miss lets a concurrent burst land in the same megabatch.
-                await asyncio.sleep(self.config.batch_window_s)
-            batch: list[_Pending] = []
-            while self._queue:
-                batch.append(self._queue.popleft())
-            if not batch:
-                continue
+            # Everything queued leaves now.  What arrives while this batch
+            # runs sets the wake event again and forms the next batch.
+            batch = list(self._queue)
+            self._queue.clear()
             self._inflight = len(batch)
             try:
                 await self._loop.run_in_executor(

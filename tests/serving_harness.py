@@ -8,18 +8,29 @@ path runs on teardown so no loop thread or worker outlives its test.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
+import itertools
 import json
 import threading
-from typing import Any
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Iterator
 
 from repro.serving import LayoutServer, ServeConfig
+from repro.utils import chaos
 
 #: A small diamond DAG with one long edge (produces a dummy vertex).
 DIAMOND = {"edges": [[0, 1], [0, 2], [1, 3], [2, 3], [0, 3]]}
 
 #: Fast deterministic Ant Colony parameters for request payloads.
 FAST_ACO = {"n_ants": 2, "n_tours": 2, "seed": 0}
+
+
+def unique_graph(tag: str) -> dict:
+    """A small DAG no other request shares: its vertex ids carry *tag*."""
+    a, b, c = (f"{tag}-{i}" for i in range(3))
+    return {"edges": [[a, b], [b, c], [a, c]]}
 
 
 def layer_payload(name: str, graph: dict | None = None, **extra: Any) -> dict:
@@ -103,6 +114,22 @@ class ServerHarness:
         status, body, _ = self.request("POST", "/layer", payload, timeout=timeout)
         return status, body
 
+    def stats(self) -> dict:
+        return self.request("GET", "/stats")[1]
+
+    def wait_for_stats(
+        self, predicate: Callable[[dict], bool], timeout: float = 10.0
+    ) -> dict:
+        """Poll ``/stats`` until *predicate* holds; fail after *timeout* s."""
+        deadline = time.monotonic() + timeout
+        while True:
+            stats = self.stats()
+            if predicate(stats):
+                return stats
+            if time.monotonic() > deadline:
+                raise AssertionError(f"stats never satisfied the predicate: {stats}")
+            time.sleep(0.01)
+
     def drain(self, timeout: float = 30.0) -> int | None:
         """Trigger the graceful drain and join the loop thread."""
         if self._thread.is_alive():
@@ -120,3 +147,28 @@ class ServerHarness:
 
     def __exit__(self, *exc: Any) -> None:
         self.drain()
+
+
+_held_ids = itertools.count()
+
+
+@contextlib.contextmanager
+def worker_held(
+    harness: ServerHarness, monkeypatch: Any, seconds: float = 1.5
+) -> Iterator[Future]:
+    """Keep the batch worker busy on one slow cell while the block runs.
+
+    A ``slow`` chaos rule stalls a fresh miss named ``held-<n>`` inside pack
+    setup.  The block starts once that cell's batch is running, so whatever
+    it sends queues behind it; the exit waits for the held answer.  Yields
+    the future of that answer.
+    """
+    name = f"held-{next(_held_ids)}"
+    monkeypatch.setenv(chaos.CHAOS_ENV, f"slow@{seconds}:AntColony:{name}")
+    batches = harness.stats()["batches"]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        held = pool.submit(harness.layer, layer_payload(name, graph=unique_graph(name)))
+        harness.wait_for_stats(lambda s: s["batches"] > batches and s["inflight"] >= 1)
+        yield held
+    assert held.result()[0] == 200
+    monkeypatch.delenv(chaos.CHAOS_ENV)

@@ -9,7 +9,6 @@ from repro.aco import _native
 from repro.aco.colony import AntColony
 from repro.aco.heuristic import evaluate_assignment
 from repro.aco.kernels import (
-    batched_layer_spans,
     draw_walk_randomness,
     evaluate_assignment_vectorized,
     fused_pow,
@@ -192,32 +191,6 @@ class TestCsrArrays:
         assert edges == expected
         assert len(problem.edge_src) == problem.graph.n_edges
 
-    def test_padded_matrices_use_sentinels(self, problem):
-        n = problem.n_vertices
-        for v in range(n):
-            row = problem.succ_pad[v].tolist()
-            deg = len(problem.succ[v])
-            assert row[:deg] == problem.succ[v]
-            assert all(x == n for x in row[deg:])
-            prow = problem.pred_pad[v].tolist()
-            pdeg = len(problem.pred[v])
-            assert prow[:pdeg] == problem.pred[v]
-            assert all(x == n + 1 for x in prow[pdeg:])
-
-    def test_batched_spans_match_scalar(self, problem):
-        rng = as_generator(0)
-        assignment = problem.initial_assignment
-        n_ants = 3
-        ext = np.empty((n_ants, problem.n_vertices + 2), dtype=np.int64)
-        ext[:, : problem.n_vertices] = assignment
-        ext[:, problem.n_vertices] = 0
-        ext[:, problem.n_vertices + 1] = problem.n_layers + 1
-        v = rng.integers(0, problem.n_vertices, size=n_ants)
-        lo, hi = batched_layer_spans(problem, ext, v)
-        for a in range(n_ants):
-            slo, shi = problem.layer_span(assignment, int(v[a]))
-            assert (int(lo[a]), int(hi[a])) == (slo, shi)
-
 
 class TestDrawWalkRandomness:
     def test_argmax_mode_draws_no_uniforms(self):
@@ -335,45 +308,6 @@ class TestThreadedBitIdentity:
         assert _native.effective_threads(None) == 2
         # Clamped to the task count, like effective_workers.
         assert _native.effective_threads(None, n_tasks=1) == 1
-
-
-class TestLazyPaddedStacks:
-    """The quadratic padded stacks must stay lazy: CSR-only runs never build them."""
-
-    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
-    def test_colony_run_never_materialises_pads(self, monkeypatch, native):
-        if not native:
-            monkeypatch.setenv("REPRO_ACO_NATIVE", "0")
-        problem = LayeringProblem.from_graph(att_like_dag(30, seed=11))
-        AntColony(
-            problem, ACOParams(n_ants=3, n_tours=2, seed=7, engine="vectorized")
-        ).run()
-        assert problem._succ_pad_cache is None
-        assert problem._pred_pad_cache is None
-
-    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
-    def test_packed_run_never_materialises_pads(self, monkeypatch, native):
-        from repro.aco.problem import PackedProblems
-        from repro.aco.runtime import run_packed_colonies
-
-        if not native:
-            monkeypatch.setenv("REPRO_ACO_NATIVE", "0")
-        problems = [
-            LayeringProblem.from_graph(att_like_dag(n, seed=s))
-            for n, s in ((12, 41), (20, 42))
-        ]
-        packed = PackedProblems.pack(problems)
-        run_packed_colonies(packed, ACOParams(n_ants=2, n_tours=2, seed=3), [[1], [2]])
-        assert packed._succ_pad_cache is None
-        assert packed._pred_pad_cache is None
-        assert all(p._succ_pad_cache is None for p in packed.problems)
-        assert all(p._pred_pad_cache is None for p in packed.problems)
-
-    def test_pad_properties_build_once_and_cache(self):
-        problem = LayeringProblem.from_graph(att_like_dag(25, seed=12))
-        pad = problem.succ_pad
-        assert problem.succ_pad is pad  # cached, not rebuilt
-        assert problem._succ_pad_cache is pad
 
 
 class TestNativeBackend:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import random
 import sys
+import threading
 
 import pytest
 
@@ -148,3 +149,52 @@ class TestConcurrentCacheMaintenance:
         assert cache.get(KEYS[2]) is None
         monkeypatch.undo()
         assert cache.stats().quarantined == 0
+
+
+class TestThreadSharedInstance:
+    def test_lookup_get_put_from_two_threads(self, tmp_path):
+        """The serving loop thread looks up while the batch worker gets and puts."""
+        cache = ResultCache(tmp_path, memory_entries=8)  # evicts constantly
+        barrier = threading.Barrier(2)
+        tallies: list[dict[str, int]] = []
+        errors: list[str] = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            tally = {"lookup_hits": 0, "gets": 0, "get_hits": 0}
+            try:
+                barrier.wait()
+                for step in range(1500):
+                    key = rng.choice(KEYS)
+                    op = rng.randrange(3)
+                    if op == 0:
+                        tally["lookup_hits"] += cache.lookup_memory(key) is not None
+                    elif op == 1:
+                        tally["gets"] += 1
+                        tally["get_hits"] += cache.get(key) is not None
+                    else:
+                        cache.put(key, _metrics(step % 7), running_time=0.01)
+            except BaseException as exc:  # pragma: no cover - the failure we hunt
+                errors.append(f"worker {seed}: {type(exc).__name__}: {exc}")
+            tallies.append(tally)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        stats = cache.hit_stats()
+        lookup_hits = sum(t["lookup_hits"] for t in tallies)
+        gets = sum(t["gets"] for t in tallies)
+        get_hits = sum(t["get_hits"] for t in tallies)
+        # A lookup counts only its hits; every get counts one memory hit or
+        # miss, and every memory miss of a get one disk hit or miss.
+        assert stats.memory_hits + stats.memory_misses == lookup_hits + gets
+        assert stats.disk_hits + stats.disk_misses == stats.memory_misses
+        assert (stats.memory_hits - lookup_hits) + stats.disk_hits == get_hits

@@ -374,7 +374,6 @@ class TestPruneWatermarks:
 class TestServingGovernance:
     def test_oversize_request_answers_413_with_the_estimate(self, tmp_path):
         config = ServeConfig(
-            batch_window_s=0.01,
             prewarm=False,
             memory_budget=1,  # nothing fits: every estimate exceeds 1 byte
             cache_dir=str(tmp_path / "cache"),
@@ -389,9 +388,7 @@ class TestServingGovernance:
             assert stats["resources"]["memory_budget_bytes"] == 1
 
     def test_stats_and_readyz_surface_degraded_rungs(self, tmp_path):
-        config = ServeConfig(
-            batch_window_s=0.01, prewarm=False, cache_dir=str(tmp_path / "cache")
-        )
+        config = ServeConfig(prewarm=False, cache_dir=str(tmp_path / "cache"))
         with ServerHarness(config) as harness:
             resources.governor().trip("cache-disk", "test")
             stats = harness.request("GET", "/stats")[1]
@@ -404,7 +401,6 @@ class TestServingGovernance:
 
     def test_within_budget_requests_still_serve(self, tmp_path):
         config = ServeConfig(
-            batch_window_s=0.01,
             prewarm=False,
             memory_budget=64 * 1024 * 1024,
             cache_dir=str(tmp_path / "cache"),

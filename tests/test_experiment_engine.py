@@ -65,6 +65,17 @@ class TestMethodSpec:
         with pytest.raises(ValidationError):
             spec.cache_token()
 
+    def test_unseeded_ant_colony_is_not_cached(self, tmp_path):
+        spec = MethodSpec.ant_colony(FAST_ACO.replace(seed=None))
+        assert spec.shippable and not spec.cacheable
+        with pytest.raises(ValidationError):
+            spec.cache_token()
+        engine = ExperimentEngine(cache=ResultCache(tmp_path))
+        unit = WorkUnit(graph=att_like_dag(15, seed=2), method=spec)
+        runs = [engine.run([unit])[0] for _ in range(3)]
+        assert [cell.cached for cell in runs] == [False, False, False]
+        assert ResultCache(tmp_path).stats().entries == 0
+
     def test_resolved_methods_produce_valid_layerings(self):
         g = att_like_dag(20, seed=1)
         for name, spec in default_method_specs(aco_params=FAST_ACO).items():

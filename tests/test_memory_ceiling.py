@@ -1,10 +1,9 @@
 """Memory-ceiling regression tests for the kernel data path.
 
-The historical padded-neighbour stacks (``succ_pad``/``pred_pad``) are
-O(V·max_degree): on a star-heavy 10⁵-vertex graph with hubs of degree 10³
-they alone would cost ~800 MB.  The CSR-only path keeps problem build,
-packing and a full packed tour at O(V+E) — the first test pins that with a
-``tracemalloc`` peak assertion (NumPy registers its data allocations with
+Padded neighbour matrices would be O(V·max_degree): on a star-heavy
+10⁵-vertex graph with hubs of degree 10³ they alone would cost ~800 MB.
+The CSR-only path keeps problem build, packing and a full packed tour at
+O(V+E) — the first test pins that with a ``tracemalloc`` peak assertion (NumPy registers its data allocations with
 tracemalloc, so the kernel state arrays are counted).  The second pins one
 dense pheromone trail per single-colony run: the colony must not keep a
 trail of its own beside the one the tour loop allocates.
@@ -28,7 +27,7 @@ N_HUBS = 100
 LEAVES_PER_HUB = 1000
 
 #: O(V+E) working set measured at ~60 MB (dominated by the Python-level
-#: adjacency lists and the LPL/stretch dicts).  The padded stacks alone
+#: adjacency lists and the LPL/stretch dicts).  Padded neighbour matrices
 #: would add ~2 × 800 MB, so the ceiling separates the regimes by >10x.
 PEAK_CEILING_BYTES = 200 * 1024 * 1024
 
@@ -66,10 +65,7 @@ def test_giant_star_graph_stays_linear_memory():
 
     assert len(outcomes) == 1 and len(outcomes[0]) == 1
     assert outcomes[0][0].assignment.shape == (n_vertices,)
-    # The quadratic stacks must never have been materialised…
-    assert problem._succ_pad_cache is None
-    assert packed._succ_pad_cache is None
-    # …and the whole build + pack + tour stays well under the padded regime.
+    # The whole build + pack + tour stays well under the padded regime.
     assert peak < PEAK_CEILING_BYTES, f"peak {peak / 1e6:.0f} MB exceeds ceiling"
 
 

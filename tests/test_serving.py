@@ -9,6 +9,7 @@ and the crash-retry policy.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import os
 import time
 
@@ -21,15 +22,32 @@ from repro.serving.http import HttpError, read_request, response_bytes
 from repro.serving.server import _Pending
 from repro.utils.exceptions import ValidationError
 
-from serving_harness import DIAMOND, ServerHarness, layer_payload
+from serving_harness import (
+    DIAMOND,
+    FAST_ACO,
+    ServerHarness,
+    layer_payload,
+    unique_graph,
+    worker_held,
+)
 
 
 @pytest.fixture(scope="module")
 def harness():
-    with ServerHarness(
-        ServeConfig(batch_window_s=0.01, prewarm=False, request_timeout_s=30.0)
-    ) as h:
+    with ServerHarness(ServeConfig(prewarm=False, request_timeout_s=30.0)) as h:
         yield h
+
+
+def _serial_reference(graphs: dict, aco: dict) -> dict:
+    """Metrics of ``aco_layering`` run directly on each graph, by name."""
+    from repro.aco import ACOParams, aco_layering
+    from repro.layering.metrics import evaluate_layering
+
+    params = ACOParams(**aco)
+    return {
+        name: evaluate_layering(g, aco_layering(g, params)).as_dict()
+        for name, g in graphs.items()
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -192,10 +210,9 @@ class TestLayering:
         assert status == 200 and body["algorithm"] == "LPL"
 
     def test_concurrent_burst_coalesces(self, harness):
-        import concurrent.futures
-
         before = harness.request("GET", "/stats")[1]["batches"]
-        payloads = [layer_payload(f"burst-{i}") for i in range(6)]
+        burst = unique_graph("burst")  # uncached: the burst is six misses
+        payloads = [layer_payload(f"burst-{i}", graph=burst) for i in range(6)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
             outcomes = list(pool.map(harness.layer, payloads))
         assert all(status == 200 for status, _ in outcomes)
@@ -205,47 +222,94 @@ class TestLayering:
         # Six concurrent misses must NOT take six engine runs.
         assert after - before < 6
 
-    def test_expired_queue_budget_answers_504(self, harness):
-        status, body = harness.layer(
-            layer_payload("core-expired", deadline_s=0.001)
+    def test_expired_queue_budget_answers_504(self, harness, monkeypatch):
+        # An uncached graph behind a held worker: the 1 ms budget runs out
+        # in the queue.  (A memory hit would be answered 200 at once.)
+        payload = layer_payload(
+            "core-expired", graph=unique_graph("core-expired"), deadline_s=0.001
         )
+        with worker_held(harness, monkeypatch):
+            status, body = harness.layer(payload)
         assert status == 504
         assert body["kind"] == "timeout" and body["name"] == "core-expired"
 
 
-class TestBackpressure:
-    def test_admission_beyond_queue_bound_answers_429(self):
-        import concurrent.futures
+class TestMemoryHits:
+    """Memory hits are answered on the loop thread, before admission."""
 
-        # A long coalescing window holds admitted requests in the queue so
-        # the bound is observable without timing races.
-        with ServerHarness(
-            ServeConfig(
-                batch_window_s=3.0, max_queue=2, prewarm=False
-            )
-        ) as h:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
-                futures = [
-                    pool.submit(
-                        lambda i=i: h.request(
-                            "POST", "/layer", layer_payload(f"bp-{i}")
-                        )
+    def test_hit_answers_while_the_worker_is_busy(self, harness, monkeypatch):
+        payload = layer_payload("hit-early", graph=unique_graph("hit-early"))
+        status, first = harness.layer(payload)
+        assert status == 200 and first["cached"] is False
+        with worker_held(harness, monkeypatch) as held:
+            before = harness.stats()
+            # Even a budget too small for any queueing is met by a hit.
+            status, again = harness.layer({**payload, "deadline_s": 0.001})
+            assert not held.done()  # answered before the slow cell finished
+            after = harness.stats()
+        assert status == 200 and again["cached"] is True
+        assert again == {**first, "cached": True}
+        assert after["batches"] == before["batches"]
+        assert after["accepted"] == before["accepted"]
+        assert after["cache"]["memory_hits"] == before["cache"]["memory_hits"] + 1
+
+    def test_misses_queued_behind_a_busy_worker_share_one_batch(
+        self, harness, monkeypatch
+    ):
+        from repro.graph.generators import att_like_dag
+        from repro.graph.io import to_json_dict
+
+        graphs = {f"queued-{n}": att_like_dag(n, seed=n) for n in (12, 16, 20)}
+        reference = _serial_reference(graphs, FAST_ACO)
+        payloads = [
+            layer_payload(name, graph=to_json_dict(g)) for name, g in graphs.items()
+        ]
+        before = harness.stats()
+        with worker_held(harness, monkeypatch):
+            with concurrent.futures.ThreadPoolExecutor(len(payloads)) as pool:
+                futures = [pool.submit(harness.layer, p) for p in payloads]
+                harness.wait_for_stats(lambda s: s["queue_depth"] >= len(payloads))
+        after = harness.stats()
+        outcomes = [f.result() for f in futures]
+        assert [status for status, _ in outcomes] == [200] * len(payloads)
+        assert {body["name"]: body["metrics"] for _, body in outcomes} == reference
+        # The held cell's batch, then one batch for all three queued misses.
+        assert after["batches"] - before["batches"] == 2
+        assert after["batched_cells"] - before["batched_cells"] == 4
+
+    def test_unseeded_requests_are_never_cached(self, harness):
+        payload = layer_payload(
+            "unseeded", graph=unique_graph("unseeded"), aco={**FAST_ACO, "seed": None}
+        )
+        answers = [harness.layer(payload) for _ in range(2)]
+        assert [status for status, _ in answers] == [200, 200]
+        assert [body["cached"] for _, body in answers] == [False, False]
+
+
+class TestBackpressure:
+    def test_admission_beyond_queue_bound_answers_429(self, monkeypatch):
+        # A held worker keeps admitted requests in the queue, so the bound
+        # is observable without timing races.
+        with ServerHarness(ServeConfig(max_queue=2, prewarm=False)) as h:
+            warm = layer_payload("bp-warm", graph=unique_graph("bp-warm"))
+            assert h.layer(warm)[0] == 200
+            with worker_held(h, monkeypatch, seconds=2.0):
+                with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                    futures = [
+                        pool.submit(h.layer, layer_payload(f"bp-{i}")) for i in range(2)
+                    ]
+                    h.wait_for_stats(lambda s: s["queue_depth"] >= 2)
+                    status, body, headers = h.request(
+                        "POST", "/layer", layer_payload("bp-overflow")
                     )
-                    for i in range(2)
-                ]
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline:
-                    if h.request("GET", "/stats")[1]["queue_depth"] >= 2:
-                        break
-                    time.sleep(0.02)
-                status, body, headers = h.request(
-                    "POST", "/layer", layer_payload("bp-overflow")
-                )
-                assert status == 429
-                assert body["error"] == "overloaded"
-                assert int(headers["Retry-After"]) >= 1
-                # The admitted requests still complete normally.
-                assert all(f.result()[0] == 200 for f in futures)
+                    assert status == 429
+                    assert body["error"] == "overloaded"
+                    assert int(headers["Retry-After"]) >= 1
+                    # A memory hit needs no queue slot: it is still served.
+                    status, body = h.layer(warm)
+                    assert status == 200 and body["cached"] is True
+            # The admitted requests still complete normally.
+            assert all(f.result()[0] == 200 for f in futures)
 
 
 class TestCrashRetryPolicy:
@@ -375,35 +439,31 @@ class TestDefaultConfig:
     def test_batched_misses_match_serial_reference(self, monkeypatch):
         # The shipped defaults: REPRO_JOBS and REPRO_ACO_THREADS unset, so
         # the walk kernel runs on every CPU and the prewarm runs it first.
-        import concurrent.futures
-
-        from repro.aco import ACOParams, aco_layering
         from repro.graph.generators import att_like_dag
         from repro.graph.io import to_json_dict
-        from repro.layering.metrics import evaluate_layering
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_ACO_THREADS", raising=False)
         aco = {"n_ants": 4, "n_tours": 3, "seed": 0}
-        params = ACOParams(**aco)
         graphs = {f"default-{seed}": att_like_dag(30, seed=seed) for seed in (41, 42, 43)}
-        reference = {
-            name: evaluate_layering(g, aco_layering(g, params)).as_dict()
-            for name, g in graphs.items()
-        }
+        reference = _serial_reference(graphs, aco)
         payloads = [
             layer_payload(name, graph=to_json_dict(g), aco=aco)
             for name, g in graphs.items()
         ]
 
         before = _child_pids()
-        # A wide window so all the distinct misses share one megabatch.
-        with ServerHarness(ServeConfig(batch_window_s=0.5)) as h:
-            with concurrent.futures.ThreadPoolExecutor(len(payloads)) as pool:
-                outcomes = list(pool.map(h.layer, payloads))
-            stats = h.request("GET", "/stats")[1]
+        with ServerHarness(ServeConfig()) as h:
+            # Queue the distinct misses behind a held worker so they share
+            # one multi-graph megabatch.
+            with worker_held(h, monkeypatch):
+                with concurrent.futures.ThreadPoolExecutor(len(payloads)) as pool:
+                    futures = [pool.submit(h.layer, p) for p in payloads]
+                    h.wait_for_stats(lambda s: s["queue_depth"] >= len(payloads))
+            stats = h.stats()
+        outcomes = [f.result() for f in futures]
         assert [status for status, _ in outcomes] == [200] * len(payloads)
         assert {body["name"]: body["metrics"] for _, body in outcomes} == reference
-        assert stats["batched_cells"] == len(payloads)
-        assert stats["batches"] < len(payloads)
+        assert stats["batched_cells"] == len(payloads) + 1
+        assert stats["batches"] == 2
         assert _child_pids() - before == set()

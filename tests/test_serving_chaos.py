@@ -80,7 +80,7 @@ class TestServingUnderChaos:
     def test_unaffected_requests_identical_faulted_requests_labelled(
         self, monkeypatch
     ):
-        config = ServeConfig(batch_window_s=0.1, prewarm=False)
+        config = ServeConfig(prewarm=False)
 
         # Fault-free reference pass.
         with ServerHarness(config) as clean:
@@ -119,9 +119,7 @@ class TestServingUnderChaos:
     ):
         """A corrupt-cache fault quarantines the entry; the repeat still serves."""
         monkeypatch.setenv(chaos.CHAOS_ENV, "corrupt-cache:AntColony:poisoned")
-        config = ServeConfig(
-            batch_window_s=0.01, prewarm=False, cache_dir=str(tmp_path / "cache")
-        )
+        config = ServeConfig(prewarm=False, cache_dir=str(tmp_path / "cache"))
         with ServerHarness(config) as h:
             first_status, first = h.layer(layer_payload("poisoned"))
             second_status, second = h.layer(layer_payload("poisoned"))

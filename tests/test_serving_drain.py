@@ -73,8 +73,6 @@ class TestSigtermDrain:
                 "serve",
                 "--port",
                 "0",
-                "--batch-window",
-                "0.05",
                 "--drain-timeout",
                 "30",
             ],
