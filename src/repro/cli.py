@@ -597,15 +597,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "stats":
         stats = cache.stats()
-        print(f"cache: {cache.directory}")
+        print(f"cache: {cache.path}")
         print(f"  entries: {stats.entries}")
         print(f"  total size: {_format_bytes(stats.total_bytes)}")
         if stats.quarantined:
-            print(f"  quarantined (corrupt/): {stats.quarantined}")
-        if stats.oldest_mtime is not None and stats.newest_mtime is not None:
+            print(f"  quarantined: {stats.quarantined}")
+        if stats.oldest_stored_at is not None and stats.newest_stored_at is not None:
             now = time.time()
-            print(f"  oldest entry: {(now - stats.oldest_mtime) / 3600:.1f} h ago")
-            print(f"  newest entry: {(now - stats.newest_mtime) / 3600:.1f} h ago")
+            print(f"  oldest entry: {(now - stats.oldest_stored_at) / 3600:.1f} h ago")
+            print(f"  newest entry: {(now - stats.newest_stored_at) / 3600:.1f} h ago")
         hits = cache.hit_stats()
         print(
             "  this-process lookups: "

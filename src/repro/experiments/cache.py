@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for experiment cell results.
+"""Content-addressed result cache for experiment cells: one SQLite file.
 
 A *cell* is one ``(graph, layering method, nd_width)`` work unit of the
 experiment engine (:mod:`repro.experiments.engine`).  Its cache key is the
@@ -21,29 +21,27 @@ must bump the package version (or :data:`CACHE_VERSION`), which orphans all
 previous entries instead of silently serving stale metrics from a
 persistent ``--cache-dir``.
 
-Layout on disk: ``<cache-dir>/<first two hex chars>/<full key>.json``, one
-small JSON document per cell holding the :class:`~repro.layering.metrics.
-LayeringMetrics` fields plus the originally measured running time.  Files
-are written atomically (temp file + rename) so concurrent runs sharing a
-cache directory never observe torn entries; unreadable or foreign files are
-treated as misses.
+Storage: ``<cache-dir>/cells.sqlite``, one row per cell in
+``cells(key, record, sha256, stored_at)``: the canonical JSON record (the
+:class:`~repro.layering.metrics.LayeringMetrics` fields plus the originally
+measured running time), its digest, and the write time in Unix seconds from
+SQLite's own clock.  In WAL mode every :meth:`ResultCache.put` is one
+autocommitted statement: when it returns, the entry is durable to the OS
+and visible to every process sharing the directory.  Directories of the
+older file-per-cell layout (``??/*.json``, ``corrupt/``) are ignored.
 
-Integrity: every entry embeds a SHA-256 checksum of its own payload,
-verified on read.  An entry whose bytes rot on disk (bit flips, truncated
-writes on a dying filesystem, a torn copy of a cache directory between
-machines) is *quarantined* — moved into ``<cache-dir>/corrupt/`` — and the
-lookup reports a miss, so the cell is recomputed instead of poisoning the
-aggregate tables with garbled metrics.  ``repro-dag cache stats`` reports
-the quarantine count and ``repro-dag cache prune --older-than`` sweeps aged
-quarantine files along with ordinary entries.
+Integrity: the digest is verified on read.  A row that fails (bit rot, a
+torn copy between machines, a foreign record) moves to the ``quarantine``
+table in one transaction and reads as a miss, so the cell is recomputed
+instead of poisoning the tables.  Any :class:`sqlite3.Error` or
+:class:`OSError` on open, read or write (a full disk, a malformed file, a
+lock held past :data:`BUSY_TIMEOUT_S`) trips the resource governor's
+``cache-disk`` breaker: the cache runs from memory until a probe after the
+cooldown finds the disk healthy.
 
-Because keys are never invalidated, a long-lived ``--cache-dir`` grows
-without bound (version bumps orphan old entries on disk).
-:meth:`ResultCache.stats` and :meth:`ResultCache.prune` (CLI: ``repro-dag
-cache {stats,prune}``) keep it in check: prune drops entries older than a
-cutoff and/or evicts oldest-first down to a size budget.  Both are safe
-under concurrent readers — eviction is a plain ``unlink`` and every reader
-already treats a missing file as a miss.
+Keys are never invalidated, so a long-lived ``--cache-dir`` grows without
+bound; :meth:`ResultCache.stats` and :meth:`ResultCache.prune` (CLI:
+``repro-dag cache {stats,prune}``) keep it in check.
 """
 
 from __future__ import annotations
@@ -51,28 +49,29 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
 import os
 import shutil
-import tempfile
+import sqlite3
 import threading
-import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator, TypeVar
 
 import repro
 from repro.layering.metrics import LayeringMetrics
 from repro.utils import chaos, resources
-from repro.utils.exceptions import ValidationError
+from repro.utils.exceptions import ReproError, ValidationError
 
 __all__ = [
     "CachedCell",
     "CacheHitStats",
     "CacheStats",
+    "DATABASE_NAME",
     "DEFAULT_MEMORY_ENTRIES",
     "PruneResult",
-    "QUARANTINE_DIR",
     "ResultCache",
     "canonical_json",
     "content_digest",
@@ -84,17 +83,59 @@ __all__ = [
 #: small metric records at most.
 DEFAULT_MEMORY_ENTRIES = 16384
 
-#: Format marker stored in every cache entry.
+#: Format marker stored in every cache record.
 CACHE_FORMAT = "repro-cell-result"
 
 #: Bump to invalidate every existing entry when the result schema changes.
-#: Version 2 added the embedded SHA-256 payload checksum, so every entry
-#: reachable from a current key carries one — a checksum-less entry at a
-#: current key can only be corruption.
 CACHE_VERSION = 2
 
-#: Quarantine subdirectory for entries that failed integrity verification.
-QUARANTINE_DIR = "corrupt"
+#: The database file inside a cache directory.
+DATABASE_NAME = "cells.sqlite"
+
+#: Seconds a statement waits for another connection's lock; past it the
+#: access is a ``cache-disk`` failure, never a hang.
+BUSY_TIMEOUT_S = 5.0
+
+#: SQLite page cache per connection, in KiB.  SQLite's 2 MB default costs
+#: about 1.6 MB more resident memory for no faster puts.
+PAGE_CACHE_KIB = 512
+
+#: SQLite's clock in Unix seconds (``unixepoch('subsec')`` needs 3.42).
+_SQL_NOW = "((julianday('now') - 2440587.5) * 86400.0)"
+
+#: ``auto_vacuum`` must be set before the first table exists; it lets prune
+#: hand freed pages back to the filesystem.
+_SCHEMA = f"""
+PRAGMA auto_vacuum = INCREMENTAL;
+PRAGMA journal_mode = WAL;
+CREATE TABLE IF NOT EXISTS cells (
+    key TEXT PRIMARY KEY,
+    record BLOB NOT NULL,
+    sha256 TEXT NOT NULL,
+    stored_at REAL NOT NULL DEFAULT {_SQL_NOW}
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS quarantine (
+    key TEXT PRIMARY KEY,
+    record BLOB NOT NULL,
+    sha256 TEXT NOT NULL,
+    stored_at REAL NOT NULL
+) WITHOUT ROWID;
+"""
+
+_PUT = "INSERT OR REPLACE INTO cells (key, record, sha256) VALUES (?, ?, ?)"
+
+#: Chaos ``corrupt-cache``: rot the tail of a freshly written record.
+_GARBLE = (
+    "UPDATE cells SET record = "
+    "CAST(substr(record, 1, length(record) - 16) || '#garbled#' AS BLOB) "
+    "WHERE key = ?"
+)
+
+#: Live and quarantined rows as one eviction pool (``q`` marks quarantine).
+_POOL = (
+    "SELECT 0 AS q, key, stored_at, length(record) AS size FROM cells "
+    "UNION ALL SELECT 1, key, stored_at, length(record) FROM quarantine"
+)
 
 _METRIC_FIELDS = (
     "n_vertices",
@@ -107,6 +148,8 @@ _METRIC_FIELDS = (
     "objective",
     "nd_width",
 )
+
+_T = TypeVar("_T")
 
 
 def canonical_json(obj: Any) -> str:
@@ -145,22 +188,18 @@ class CacheStats:
     """Aggregate shape of a cache directory (``repro-dag cache stats``)."""
 
     entries: int
+    #: Summed bytes of the stored records (the file adds SQLite's overhead).
     total_bytes: int
-    oldest_mtime: float | None
-    newest_mtime: float | None
-    #: Files sitting in the ``corrupt/`` quarantine (failed checksum reads).
+    oldest_stored_at: float | None
+    newest_stored_at: float | None
+    #: Rows in the quarantine table (failed checksum reads).
     quarantined: int = 0
 
 
 @dataclass(frozen=True)
 class CacheHitStats:
-    """Per-process hit/miss counters for both cache layers.
-
-    ``memory_*`` counts lookups against the in-process LRU; ``disk_*``
-    counts the lookups that fell through to the JSON files.  A warm
-    full-corpus re-run should be (almost) all memory hits — re-reading and
-    re-parsing one file per cell was pure overhead.
-    """
+    """Per-process hit/miss counters: ``memory_*`` for the in-process LRU,
+    ``disk_*`` for the lookups that fell through to the database."""
 
     memory_hits: int
     memory_misses: int
@@ -176,22 +215,49 @@ class PruneResult:
     freed_bytes: int
     kept: int
     kept_bytes: int
-    #: Quarantined files swept by this pass (``--older-than`` only).
+    #: Quarantined rows evicted by this pass.
     quarantine_removed: int = 0
 
 
+@contextmanager
+def _transaction(conn: sqlite3.Connection) -> Iterator[None]:
+    """One write transaction on an autocommit connection."""
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield
+    except BaseException:
+        conn.rollback()
+        raise
+    conn.commit()
+
+
+def _verified(record: Any, sha256: Any) -> dict[str, Any] | None:
+    """The decoded cell record when it matches its checksum, else ``None``."""
+    if not isinstance(record, bytes) or hashlib.sha256(record).hexdigest() != sha256:
+        return None
+    try:
+        decoded = json.loads(record)
+    except ValueError:
+        return None
+    if not isinstance(decoded, dict) or decoded.get("format") != CACHE_FORMAT:
+        return None
+    return decoded
+
+
 class ResultCache:
-    """Directory-backed content-addressed store of :class:`CachedCell` entries.
+    """SQLite-backed content-addressed store of :class:`CachedCell` entries.
 
     Lookups go through an in-process LRU first (*memory_entries* records,
     ``0`` disables it): keys are content-addressed, so a remembered entry can
-    never go stale, and a warm full-corpus run stops re-reading and
-    re-parsing one JSON file per cell.  :meth:`hit_stats` reports the
-    per-layer hit/miss counters (``repro-dag cache stats`` prints them).
+    never go stale, and a warm full-corpus run stops re-reading the
+    database.  :meth:`hit_stats` reports the per-layer hit/miss counters
+    (``repro-dag cache stats`` prints them).
 
-    One lock guards the LRU and the counters, so threads may share an
-    instance: ``repro-dag serve`` answers memory hits on its loop thread
-    (:meth:`lookup_memory`) while its batch worker reads and writes.
+    The database opens on the first disk access.  Threads may share an
+    instance: one lock guards the LRU and the counters and another the
+    connection, so ``repro-dag serve`` answers memory hits on its loop
+    thread (:meth:`lookup_memory`) without waiting on disk.  A forked child
+    opens its own connection and never touches the inherited one.
     """
 
     def __init__(
@@ -202,6 +268,7 @@ class ResultCache:
                 f"memory_entries must be >= 0, got {memory_entries}"
             )
         self.directory = Path(directory)
+        self.path = self.directory / DATABASE_NAME
         self.memory_entries = memory_entries
         self._memory: OrderedDict[str, CachedCell] = OrderedDict()
         self._memory_hits = 0
@@ -209,39 +276,63 @@ class ResultCache:
         self._disk_hits = 0
         self._disk_misses = 0
         self._lock = threading.Lock()
+        self._db_lock = threading.Lock()
+        #: One connection per process; an inherited one stays here, unused.
+        self._connections: dict[int, sqlite3.Connection] = {}
 
-    def path_for(self, key: str) -> Path:
-        """Where the entry for *key* lives (two-character shard directories)."""
-        return self.directory / key[:2] / f"{key}.json"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where entries that failed integrity verification are moved."""
-        return self.directory / QUARANTINE_DIR
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a failed entry into ``corrupt/`` instead of re-reading it forever.
-
-        Non-destructive on purpose: the bytes stay available for post-mortem
-        inspection, but they are out of the lookup path so every future read
-        of the key is an honest miss.  Concurrency-safe: the move is one
-        atomic ``os.replace``; a source that vanished means a concurrent
-        reader quarantined (or a prune evicted) the same file first, and a
-        ``corrupt/`` directory swept from under us by a concurrent
-        ``prune --older-than`` is recreated and the move retried.
-        """
-        target = self.quarantine_dir / path.name
-        for _ in range(3):
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection, opened on first use (hold ``_db_lock``)."""
+        conn = self._connections.get(os.getpid())
+        if conn is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(
+                self.path,
+                timeout=BUSY_TIMEOUT_S,
+                isolation_level=None,
+                check_same_thread=False,
+            )
             try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-            except FileNotFoundError:
-                if not path.exists():
-                    return  # another process moved/removed it first
-                continue  # quarantine dir pruned from under us: re-create it
-            except OSError:
-                pass
-            return
+                conn.execute(f"PRAGMA cache_size = -{PAGE_CACHE_KIB}")
+                conn.execute("PRAGMA synchronous = NORMAL")
+                conn.executescript(_SCHEMA)
+            except BaseException:
+                conn.close()
+                raise
+            self._connections[os.getpid()] = conn
+        return conn
+
+    def _disk(
+        self, operation: Callable[[sqlite3.Connection], _T], *, write: bool = False
+    ) -> _T | None:
+        """*operation*'s result under the ``cache-disk`` breaker; ``None``
+        when the disk is fenced off or the operation fails.  Only a *write*
+        probes an open breaker: a read says nothing about a full disk."""
+        governor = resources.governor()
+        if write:
+            if not governor.allow("cache-disk"):
+                return None
+        elif governor.breaker("cache-disk").state != "closed":
+            return None
+        try:
+            with self._db_lock:
+                result = operation(self._connection())
+        except (sqlite3.Error, OSError) as exc:
+            governor.record_failure("cache-disk", str(exc))
+            return None
+        if write:
+            governor.record_success("cache-disk")
+        return result
+
+    def _maintain(self, operation: Callable[[sqlite3.Connection], _T], empty: _T) -> _T:
+        """A maintenance *operation*'s result, *empty* without a database.
+        It bypasses the breaker; errors surface as :class:`ReproError`."""
+        if not self.path.exists():
+            return empty
+        try:
+            with self._db_lock:
+                return operation(self._connection())
+        except (sqlite3.Error, OSError) as exc:
+            raise ReproError(f"result cache {self.path}: {exc}") from exc
 
     def _remember(self, key: str, cell: CachedCell) -> None:
         if self.memory_entries == 0:
@@ -282,17 +373,16 @@ class ResultCache:
         return self._recall(key, count_miss=False)
 
     def get(self, key: str) -> CachedCell | None:
-        """Look up a cell result, verifying the entry's embedded checksum.
+        """Look up a cell result, verifying the row's checksum.
 
-        A missing file is an ordinary miss.  A file that is present but
-        unparsable, foreign, checksum-less or checksum-mismatched is
-        *corrupt*: it is quarantined to ``corrupt/`` and reported as a miss,
-        so the cell is recomputed rather than trusted.
+        A missing row is an ordinary miss.  A row whose record fails its
+        checksum or is not a cell record is *corrupt*: it is quarantined and
+        reported as a miss, so the cell is recomputed rather than trusted.
         """
         cell = self._recall(key, count_miss=True)
         if cell is not None:
             return cell
-        cell = self._read_disk(key)
+        cell = self._disk(lambda conn: self._read(conn, key))
         with self._lock:
             if cell is None:
                 self._disk_misses += 1
@@ -301,25 +391,27 @@ class ResultCache:
         self._remember(key, cell)
         return cell
 
-    def _read_disk(self, key: str) -> CachedCell | None:
-        """The verified entry file of *key*, or ``None`` on any kind of miss."""
-        path = self.path_for(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
+    @staticmethod
+    def _read(conn: sqlite3.Connection, key: str) -> CachedCell | None:
+        row = conn.execute(
+            "SELECT record, sha256 FROM cells WHERE key = ?", (key,)
+        ).fetchone()
+        if row is None:
             return None
-        try:
-            record = json.loads(raw)
-        except ValueError:
-            record = None  # torn or garbled JSON
-        stored_sha = record.pop("sha256", None) if isinstance(record, dict) else None
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != CACHE_FORMAT
-            or not isinstance(stored_sha, str)
-            or content_digest(record) != stored_sha
-        ):
-            self._quarantine(path)
+        record = _verified(*row)
+        if record is None:
+            # Only the row as read moves: a healthy record a concurrent put
+            # wrote since stays, and a row another reader moved first
+            # moves nothing.
+            with _transaction(conn):
+                conn.execute(
+                    "INSERT OR REPLACE INTO quarantine "
+                    "SELECT * FROM cells WHERE key = ? AND record IS ?",
+                    (key, row[0]),
+                )
+                conn.execute(
+                    "DELETE FROM cells WHERE key = ? AND record IS ?", (key, row[0])
+                )
             return None
         try:
             metrics = LayeringMetrics(**{f: record["metrics"][f] for f in _METRIC_FIELDS})
@@ -339,26 +431,12 @@ class ResultCache:
         chaos_id: str | None = None,
         attempt: int = 1,
     ) -> None:
-        """Store one cell result atomically, with an embedded checksum.
+        """Store one cell result with its checksum: one committed statement.
 
-        A concurrent ``prune`` may rmdir the shard directory between our
-        ``mkdir`` and ``mkstemp`` (it only removes shards that are empty at
-        that instant); recreate and retry instead of letting the race abort
-        a running experiment.
-
-        *chaos_id* opts the write into ``corrupt-cache`` and ``enospc``
-        chaos rules (the cell id the rules are matched against): a firing
-        ``corrupt-cache`` rule garbles the entry's bytes on disk after the
-        atomic write, rehearsing exactly the corruption the checksum
-        verification exists to catch; a firing ``enospc`` rule makes the
-        write fail as a full disk would.
-
-        Disk-full safety: the disk layer is guarded by the resource
-        governor's ``cache-disk`` breaker.  A write that fails with
-        :class:`OSError` (``ENOSPC`` prominently) degrades the cache to
-        memory-only — the entry stays served from the LRU, the failure is
-        logged once, and the disk layer is re-probed after a cooldown —
-        instead of crashing the run over an optimisation.
+        *chaos_id* opts the write into the ``corrupt-cache`` and ``enospc``
+        chaos rules (matched against that cell id): the first garbles the
+        stored record after the write, the second fails the write as a full
+        disk would.  A failed write leaves the entry served from the LRU.
         """
         corrupting = chaos_id is not None and chaos.should_corrupt(chaos_id, attempt)
         if not corrupting:
@@ -366,112 +444,47 @@ class ResultCache:
             # layer, or the very lookup the chaos rule wants to poison would
             # be served the healthy value.
             self._remember(key, CachedCell(metrics=metrics, running_time=running_time))
-        governor = resources.governor()
-        if not governor.allow("cache-disk"):
-            return  # memory-only: the disk layer is fenced off
-        path = self.path_for(key)
-        record = {
-            "format": CACHE_FORMAT,
-            "version": CACHE_VERSION,
-            "metrics": metrics.as_dict(),
-            "running_time": running_time,
-        }
-        record["sha256"] = content_digest(record)
-        try:
-            if chaos_id is not None and chaos.should_enospc(chaos_id, attempt):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-            for retry in range(3):
-                path.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-                except FileNotFoundError:
-                    if retry == 2:
-                        raise
-                    continue  # shard pruned from under us: re-create it
-                break
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError as exc:
-            governor.record_failure("cache-disk", str(exc))
-            return
-        governor.record_success("cache-disk")
-        if corrupting:
-            self._garble(path)
+        record = canonical_json(
+            {
+                "format": CACHE_FORMAT,
+                "version": CACHE_VERSION,
+                "metrics": metrics.as_dict(),
+                "running_time": running_time,
+            }
+        ).encode("utf-8")
+        row = (key, record, hashlib.sha256(record).hexdigest())
 
-    @staticmethod
-    def _garble(path: Path) -> None:
-        """Flip the tail of an entry's bytes in place (chaos ``corrupt-cache``)."""
-        try:
-            data = path.read_bytes()
-            path.write_bytes(data[: max(0, len(data) - 16)] + b"\x00garbled\x00")
-        except OSError:
-            pass
+        def store(conn: sqlite3.Connection) -> None:
+            if chaos_id is not None and chaos.should_enospc(chaos_id, attempt):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self.path))
+            conn.execute(_PUT, row)
+            if corrupting:
+                conn.execute(_GARBLE, (key,))
+
+        self._disk(store, write=True)
 
     def __len__(self) -> int:
-        """Number of entries currently stored (walks the shard directories)."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("??/*.json"))
+        """Number of entries currently stored."""
+        return self._maintain(
+            lambda conn: conn.execute("SELECT COUNT(*) FROM cells").fetchone()[0], 0
+        )
 
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
 
-    def _scan(self) -> list[tuple[Path, int, float]]:
-        """``(path, size, mtime)`` for every entry file; vanished files skipped."""
-        entries: list[tuple[Path, int, float]] = []
-        try:
-            for path in self.directory.glob("??/*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # concurrently pruned by another process
-                entries.append((path, stat.st_size, stat.st_mtime))
-        except OSError:
-            pass  # a shard swept mid-walk: report what was seen
-        return entries
-
-    def _scan_quarantine(self) -> list[tuple[Path, int, float]]:
-        """``(path, size, mtime)`` for every quarantined file.
-
-        Tolerates the directory being swept by a concurrent prune while we
-        iterate it (``iterdir`` lists lazily, so the deletion can land
-        mid-iteration, not just before the ``is_dir`` check).
-        """
-        entries: list[tuple[Path, int, float]] = []
-        if not self.quarantine_dir.is_dir():
-            return entries
-        try:
-            for path in self.quarantine_dir.iterdir():
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                if path.is_file():
-                    entries.append((path, stat.st_size, stat.st_mtime))
-        except OSError:
-            pass  # quarantine dir removed from under the iteration
-        return entries
-
     def stats(self) -> CacheStats:
-        """Entry count, total size, age range and quarantine count of the cache."""
-        entries = self._scan()
-        mtimes = [m for _, _, m in entries]
-        return CacheStats(
-            entries=len(entries),
-            total_bytes=sum(size for _, size, _ in entries),
-            oldest_mtime=min(mtimes) if mtimes else None,
-            newest_mtime=max(mtimes) if mtimes else None,
-            quarantined=len(self._scan_quarantine()),
-        )
+        """Entry count, record bytes, age range and quarantine count."""
+
+        def read(conn: sqlite3.Connection) -> CacheStats:
+            entries, total, oldest, newest = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(length(record)), 0), "
+                "MIN(stored_at), MAX(stored_at) FROM cells"
+            ).fetchone()
+            (quarantined,) = conn.execute("SELECT COUNT(*) FROM quarantine").fetchone()
+            return CacheStats(entries, total, oldest, newest, quarantined)
+
+        return self._maintain(read, CacheStats(0, 0, None, None))
 
     def prune(
         self,
@@ -481,105 +494,90 @@ class ResultCache:
         free_below_bytes: int | None = None,
         now: float | None = None,
     ) -> PruneResult:
-        """Evict entries: everything older than the cutoff first, then
-        oldest-first until the directory fits the size budget, then
-        oldest-first until the filesystem has the requested free space.
+        """Evict entries: everything stored before ``now - older_than``
+        first, then oldest-first until the records fit ``max_size_bytes``,
+        then oldest-first until the filesystem has ``free_below_bytes`` free
+        (CLI: ``--free-below``).  *now* defaults to SQLite's clock.
 
-        Quarantined files (``corrupt/``) count toward ``max_size_bytes``
-        and are evicted in the same oldest-first order as ordinary entries
-        — bit-rotted bytes kept for post-mortems must not be able to hold a
-        size-capped cache hostage.  ``free_below_bytes`` is the disk-full
-        watermark (CLI: ``--free-below``): when the cache directory's
-        filesystem has less free space than it, entries are evicted
-        oldest-first until the eviction plan covers the deficit.
-
-        Safe under concurrent readers and writers: eviction is a plain
-        atomic ``unlink`` (readers already treat a missing file as a miss),
-        files that vanish mid-prune are ignored, and empty shard directories
-        are removed only when they stay empty.  At least one criterion is
-        required — a bare prune deleting everything would be a foot-gun.
+        Quarantined rows count toward the budgets and are evicted in the
+        same oldest-first order — rotted records kept for post-mortems must
+        not hold a size-capped cache hostage.  The eviction is one
+        transaction; the freed pages then go back to the filesystem.  At
+        least one criterion is required: a bare prune deleting everything
+        would be a foot-gun.
         """
         if max_size_bytes is None and older_than_seconds is None and free_below_bytes is None:
             raise ValidationError(
                 "prune needs --max-size, --older-than and/or --free-below"
             )
-        # The memory layer mirrors the disk store; dropping it wholesale
-        # keeps the contract that pruned entries are misses (and pruning is
-        # rare maintenance, so a cold LRU afterwards costs nothing).
+        for name, value in (
+            ("max_size_bytes", max_size_bytes),
+            ("older_than_seconds", older_than_seconds),
+            ("free_below_bytes", free_below_bytes),
+        ):
+            if value is not None and value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
+        # The memory layer mirrors the disk store; dropping it keeps pruned
+        # entries misses (and a cold LRU after rare maintenance costs nothing).
         with self._lock:
             self._memory.clear()
-        if max_size_bytes is not None and max_size_bytes < 0:
-            raise ValidationError(f"max_size_bytes must be >= 0, got {max_size_bytes}")
-        if older_than_seconds is not None and older_than_seconds < 0:
-            raise ValidationError(
-                f"older_than_seconds must be >= 0, got {older_than_seconds}"
+
+        def evict(conn: sqlite3.Connection) -> PruneResult:
+            with _transaction(conn):
+                cutoff = -math.inf
+                if older_than_seconds is not None:
+                    (cutoff,) = conn.execute(
+                        f"SELECT COALESCE(?, {_SQL_NOW}) - ?", (now, older_than_seconds)
+                    ).fetchone()
+                conn.execute(
+                    f"CREATE TEMP TABLE doomed AS SELECT q, key, size FROM ({_POOL}) "
+                    "WHERE stored_at < ?",
+                    (cutoff,),
+                )
+                (aged,) = conn.execute("SELECT COALESCE(SUM(size), 0) FROM doomed").fetchone()
+                (total,) = conn.execute(
+                    f"SELECT COALESCE(SUM(size), 0) FROM ({_POOL}) WHERE stored_at >= ?",
+                    (cutoff,),
+                ).fetchone()
+                # Both budgets evict a prefix of the oldest-first order: the
+                # rows whose older rows weigh less than *squeeze* bytes.
+                squeeze = total - max_size_bytes if max_size_bytes is not None else 0
+                if free_below_bytes is not None:
+                    free = shutil.disk_usage(self.directory).free
+                    if free < free_below_bytes:
+                        squeeze = max(squeeze, free_below_bytes - free - aged)
+                if squeeze > 0:
+                    conn.execute(
+                        "INSERT INTO doomed SELECT q, key, size FROM (SELECT q, key, size, "
+                        "SUM(size) OVER (ORDER BY stored_at, q, key ROWS UNBOUNDED "
+                        f"PRECEDING) - size AS older FROM ({_POOL}) WHERE stored_at >= ?) "
+                        "WHERE older < ?",
+                        (cutoff, squeeze),
+                    )
+                conn.execute("DELETE FROM cells WHERE key IN (SELECT key FROM doomed WHERE q = 0)")
+                conn.execute(
+                    "DELETE FROM quarantine WHERE key IN (SELECT key FROM doomed WHERE q = 1)"
+                )
+                removed = {
+                    q: (count, size)
+                    for q, count, size in conn.execute(
+                        "SELECT q, COUNT(*), SUM(size) FROM doomed GROUP BY q"
+                    )
+                }
+                kept, kept_bytes = conn.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(length(record)), 0) FROM cells"
+                ).fetchone()
+                conn.execute("DROP TABLE doomed")
+            # Hand the freed pages back: the file and its WAL really shrink.
+            conn.executescript("PRAGMA incremental_vacuum;")
+            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+            removed_count, freed = removed.get(0, (0, 0))
+            return PruneResult(
+                removed=removed_count,
+                freed_bytes=freed,
+                kept=kept,
+                kept_bytes=kept_bytes,
+                quarantine_removed=removed.get(1, (0, 0))[0],
             )
-        if free_below_bytes is not None and free_below_bytes < 0:
-            raise ValidationError(
-                f"free_below_bytes must be >= 0, got {free_below_bytes}"
-            )
-        now = now if now is not None else time.time()
-        # One oldest-first pool mixing ordinary entries and quarantined
-        # files (tagged), so size/free-space budgets account for both.
-        pool: list[tuple[Path, int, float, bool]] = sorted(
-            [(p, s, m, False) for p, s, m in self._scan()]
-            + [(p, s, m, True) for p, s, m in self._scan_quarantine()],
-            key=lambda e: (e[2], e[0].name),
-        )
-        doomed: list[tuple[Path, int, float, bool]] = []
-        if older_than_seconds is not None:
-            cutoff = now - older_than_seconds
-            pool_kept = [e for e in pool if e[2] >= cutoff]
-            doomed.extend(e for e in pool if e[2] < cutoff)
-            pool = pool_kept
-        if max_size_bytes is not None:
-            kept_bytes = sum(size for _, size, _, _ in pool)
-            while pool and kept_bytes > max_size_bytes:
-                entry = pool.pop(0)
-                doomed.append(entry)
-                kept_bytes -= entry[1]
-        if free_below_bytes is not None:
-            try:
-                disk_free = shutil.disk_usage(self.directory).free
-            except OSError:
-                disk_free = None  # directory gone: nothing to evict anyway
-            if disk_free is not None and disk_free < free_below_bytes:
-                planned = sum(size for _, size, _, _ in doomed)
-                deficit = free_below_bytes - disk_free
-                while pool and planned < deficit:
-                    entry = pool.pop(0)
-                    doomed.append(entry)
-                    planned += entry[1]
-        removed = 0
-        freed = 0
-        quarantine_removed = 0
-        touched_shards: set[Path] = set()
-        for path, size, _, quarantined in doomed:
-            try:
-                path.unlink()
-            except OSError:
-                continue  # already gone: someone else pruned it
-            if quarantined:
-                quarantine_removed += 1
-            else:
-                removed += 1
-                freed += size
-                touched_shards.add(path.parent)
-        for shard in touched_shards:
-            try:
-                shard.rmdir()  # only succeeds if the shard is now empty
-            except OSError:
-                pass
-        if quarantine_removed:
-            try:
-                self.quarantine_dir.rmdir()
-            except OSError:
-                pass
-        kept_entries = [e for e in pool if not e[3]]
-        return PruneResult(
-            removed=removed,
-            freed_bytes=freed,
-            kept=len(kept_entries),
-            kept_bytes=sum(size for _, size, _, _ in kept_entries),
-            quarantine_removed=quarantine_removed,
-        )
+
+        return self._maintain(evict, PruneResult(0, 0, 0, 0))

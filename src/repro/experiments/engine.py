@@ -56,6 +56,15 @@ and worker count.  Only the measured ``running_time`` of a cell varies
 between runs (a cache hit or journal replay reports the originally measured
 time).
 
+Shared base layerings: ``LPL+PL`` and ``MinWidth+PL`` are promotion applied
+to the ``LPL`` and ``MinWidth`` layerings (:data:`PROMOTED_FROM`).  On the
+in-process sequential paths — ``serial``, the baseline cells of
+``batched`` and in-parent retries — the first cell of a graph that needs a
+base computes it and the graph's later cells reuse it, so a ``+PL`` cell
+costs one promotion.  Its ``running_time`` is the base's measured time plus
+the promotion's, so runtime columns keep the paper's meaning.  The
+``thread`` and ``process`` executors compute every cell on its own.
+
 Callable-backed method specs cannot be pickled; the engine runs them in the
 parent process (under ``executor="thread"`` they still use the pool), so
 custom algorithms keep working with any executor — they just do not gain
@@ -161,22 +170,29 @@ MAX_CELLS_ENV = "REPRO_ENGINE_MAX_CELLS"
 LayeringAlgorithm = Callable[[DiGraph], Layering]
 
 
-def _lpl_with_promotion(graph: DiGraph) -> Layering:
-    return promote_layering(graph, longest_path_layering(graph))
+#: The paper's derived baselines: promotion (PL) applied to the layering of
+#: another builtin, their *base*.  The engine's in-process sequential paths
+#: compute each base once per graph and share it (:class:`_BaseMemo`).
+PROMOTED_FROM: dict[str, str] = {"LPL+PL": "LPL", "MinWidth+PL": "MinWidth"}
 
 
-def _minwidth_with_promotion(graph: DiGraph) -> Layering:
-    return promote_layering(graph, minwidth_layering_sweep(graph))
+def _promoted(base: str) -> LayeringAlgorithm:
+    """``graph -> promote_layering(graph, base(graph))``, resolved at call time."""
+
+    def algorithm(graph: DiGraph) -> Layering:
+        return promote_layering(graph, BUILTIN_METHODS[base](graph))
+
+    return algorithm
 
 
-#: Worker-resolvable registry of the paper's deterministic baseline methods.
-#: Entries are module-level functions, so a bare name is enough to rebuild
-#: the algorithm inside a process-pool worker.
+#: Worker-resolvable registry of the paper's deterministic baseline methods:
+#: a bare name is enough to rebuild the algorithm inside a process-pool
+#: worker.
 BUILTIN_METHODS: dict[str, LayeringAlgorithm] = {
     "LPL": longest_path_layering,
-    "LPL+PL": _lpl_with_promotion,
+    "LPL+PL": _promoted("LPL"),
     "MinWidth": minwidth_layering_sweep,
-    "MinWidth+PL": _minwidth_with_promotion,
+    "MinWidth+PL": _promoted("MinWidth"),
 }
 
 #: Display name of the paper's Ant Colony entry.
@@ -249,6 +265,14 @@ class MethodSpec:
     def shippable(self) -> bool:
         """Whether the spec can cross a process boundary."""
         return self.func is None
+
+    @property
+    def base(self) -> str | None:
+        """The builtin whose layering this method starts from: itself for
+        ``LPL``/``MinWidth``, the promoted one for a ``+PL`` method."""
+        if self.func is not None or self.aco_params is not None:
+            return None
+        return PROMOTED_FROM.get(self.name, self.name) if self.name in BUILTIN_METHODS else None
 
     @property
     def cacheable(self) -> bool:
@@ -492,13 +516,60 @@ def _max_cells() -> int | None:
     return value
 
 
-def _execute_unit(unit: WorkUnit) -> tuple[LayeringMetrics, float]:
-    """Run one cell: time the algorithm, then evaluate the paper's metrics."""
-    algorithm = unit.method.resolve()
-    start = time.perf_counter()
-    layering = algorithm(unit.graph)
-    elapsed = time.perf_counter() - start
-    metrics = evaluate_layering(unit.graph, layering, nd_width=unit.nd_width)
+#: A base layering and the seconds it took to compute.
+TimedLayering = tuple[Layering, float]
+
+
+class _BaseMemo:
+    """The base layerings of the graph a run's sequential cells are on.
+
+    The first in-process sequential cell of a graph that needs a base
+    (``LPL``, ``MinWidth``) computes it and the graph's later cells reuse
+    it.  Cells arrive graph-major, so only the current graph's bases are
+    held.  Each attempt works on its own copy, which the engine keeps only
+    once the attempt finished inside its deadline: an abandoned attempt
+    never publishes, and a base that raised never entered the copy.
+    """
+
+    def __init__(self) -> None:
+        self.graph: DiGraph | None = None
+        self.bases: dict[str, TimedLayering] = {}
+
+    def lend(self, graph: DiGraph) -> dict[str, TimedLayering]:
+        return dict(self.bases) if graph is self.graph else {}
+
+    def keep(self, graph: DiGraph, bases: dict[str, TimedLayering]) -> None:
+        self.graph, self.bases = graph, bases
+
+
+def _execute_unit(
+    unit: WorkUnit, shared: dict[str, TimedLayering] | None = None
+) -> tuple[LayeringMetrics, float]:
+    """Run one cell: time the algorithm, then evaluate the paper's metrics.
+
+    With *shared* (the graph's bases on the run's sequential paths), a
+    builtin cell reuses its base layering or computes and adds it; a
+    derived cell then reports the base's measured time plus its own
+    promotion time.
+    """
+    graph = unit.graph
+    base = unit.method.base
+    if shared is None or base is None:
+        algorithm = unit.method.resolve()
+        start = time.perf_counter()
+        layering = algorithm(graph)
+        elapsed = time.perf_counter() - start
+    else:
+        if base not in shared:
+            start = time.perf_counter()
+            computed = BUILTIN_METHODS[base](graph)
+            shared[base] = (computed, time.perf_counter() - start)
+        layering, elapsed = shared[base]
+        if base != unit.method.name:
+            start = time.perf_counter()
+            layering = promote_layering(graph, layering)
+            elapsed += time.perf_counter() - start
+    metrics = evaluate_layering(graph, layering, nd_width=unit.nd_width)
     return metrics, elapsed
 
 
@@ -509,7 +580,10 @@ CellOutcome = tuple
 
 
 def _safe_execute(
-    unit: WorkUnit, cell_id: str | None = None, attempt: int = 1
+    unit: WorkUnit,
+    cell_id: str | None = None,
+    attempt: int = 1,
+    shared: dict[str, TimedLayering] | None = None,
 ) -> CellOutcome:
     """Execute one cell, capturing any exception as a :class:`CellError`.
 
@@ -518,12 +592,13 @@ def _safe_execute(
     other non-``Exception`` conditions propagate — fault isolation is for
     cell bugs, not for the operator's Ctrl-C.  *attempt* (1-based) is handed
     to the chaos plane so attempt-bounded fault rules count correctly even
-    across pool workers.
+    across pool workers; injection runs before any computation, shared
+    bases included.  *shared* goes to :func:`_execute_unit`.
     """
     start = time.perf_counter()
     try:
         chaos.inject(cell_id if cell_id is not None else unit.cell_id, attempt)
-        return ("ok", *_execute_unit(unit))
+        return ("ok", *_execute_unit(unit, shared))
     except Exception as exc:
         return (
             "error",
@@ -577,7 +652,7 @@ def _run_cell(
 
 
 def _run_indexed_unit(state: Sequence[WorkUnit], index: int) -> CellOutcome:
-    """Thread-pool / serial worker entry point: run the *index*-th pending unit."""
+    """Thread-pool worker entry point: run the *index*-th pending unit."""
     return _safe_execute(state[index])
 
 
@@ -812,7 +887,8 @@ class ExperimentEngine:
                         continue
             pending.append((i, unit))
 
-        stream = self._dispatch_iter(pending, json_stash, dispatch_executor)
+        bases = _BaseMemo()
+        stream = self._dispatch_iter(pending, json_stash, dispatch_executor, bases)
         if not pending:
             json_stash.clear()  # all cells replayed/hit: nothing will be shipped
         start = time.perf_counter()
@@ -824,7 +900,7 @@ class ExperimentEngine:
                 if cell is None:
                     outcome = _normalize_outcome(next(stream))
                     outcome, attempts, timeouts = self._with_retries(
-                        unit, keys[i], outcome
+                        unit, keys[i], outcome, bases
                     )
                     timed_out += timeouts
                     retried += 1 if attempts > 1 else 0
@@ -946,28 +1022,40 @@ class ExperimentEngine:
     # deadlines and retries
     # ------------------------------------------------------------------ #
 
-    def _attempt_cell(self, unit: WorkUnit, attempt: int) -> CellOutcome:
-        """One in-parent, deadline-bounded execution attempt of a cell."""
+    def _attempt_cell(
+        self, unit: WorkUnit, attempt: int, bases: _BaseMemo | None = None
+    ) -> CellOutcome:
+        """One in-parent, deadline-bounded execution attempt of a cell.
+
+        With the run's *bases*, the attempt shares base layerings with the
+        graph's other cells (see :class:`_BaseMemo`).
+        """
+        shared = bases.lend(unit.graph) if bases is not None else None
+
+        def attempt_cell() -> CellOutcome:
+            return _safe_execute(unit, attempt=attempt, shared=shared)
+
         if self.cell_timeout is None:
-            return _safe_execute(unit, attempt=attempt)
-        completed, value = run_with_deadline(
-            lambda: _safe_execute(unit, attempt=attempt), self.cell_timeout
-        )
-        if completed:
-            return value
-        return (
-            "error",
-            CellError(
-                exc_type="TaskDeadlineExceeded",
-                message=(
-                    f"cell {unit.cell_id} exceeded the "
-                    f"{self.cell_timeout:.6g}s deadline"
-                ),
-                traceback="",
-                running_time=self.cell_timeout,
-                kind="timeout",
-            ),
-        )
+            outcome = attempt_cell()
+        else:
+            completed, outcome = run_with_deadline(attempt_cell, self.cell_timeout)
+            if not completed:
+                return (
+                    "error",
+                    CellError(
+                        exc_type="TaskDeadlineExceeded",
+                        message=(
+                            f"cell {unit.cell_id} exceeded the "
+                            f"{self.cell_timeout:.6g}s deadline"
+                        ),
+                        traceback="",
+                        running_time=self.cell_timeout,
+                        kind="timeout",
+                    ),
+                )
+        if bases is not None and shared is not None:
+            bases.keep(unit.graph, shared)
+        return outcome
 
     def _backoff_delay(self, token: str, attempt: int) -> float:
         """Deterministic jittered exponential backoff before retry *attempt*.
@@ -984,7 +1072,11 @@ class ExperimentEngine:
         return self.retry_backoff * (2 ** (attempt - 1)) * (0.5 + h / 0xFFFFFFFF)
 
     def _with_retries(
-        self, unit: WorkUnit, key: str | None, outcome: CellOutcome
+        self,
+        unit: WorkUnit,
+        key: str | None,
+        outcome: CellOutcome,
+        bases: _BaseMemo | None = None,
     ) -> tuple[CellOutcome, int, int]:
         """Re-execute a failed cell up to ``retries`` more times.
 
@@ -1010,7 +1102,7 @@ class ExperimentEngine:
             if delay > 0:
                 time.sleep(delay)
             attempts += 1
-            outcome = self._attempt_cell(unit, attempts)
+            outcome = self._attempt_cell(unit, attempts, bases)
             if outcome[0] == "error" and outcome[1].kind == "timeout":
                 timeouts += 1
         return outcome, attempts, timeouts
@@ -1020,16 +1112,25 @@ class ExperimentEngine:
         pending: Sequence[tuple[int, WorkUnit]],
         json_stash: dict[int, dict[str, Any]],
         executor: str | None = None,
+        bases: _BaseMemo | None = None,
     ) -> Iterator[CellOutcome]:
-        """Stream outcomes for the pending units, preserving their order."""
+        """Stream outcomes for the pending units, preserving their order.
+
+        The sequential paths (``serial`` and the non-pack cells of
+        ``batched``) share base layerings through the run's *bases*.
+        """
         if not pending:
             return
         executor = executor if executor is not None else self.executor
         if executor == "batched":
             json_stash.clear()
-            yield from self._dispatch_batched(pending)
+            yield from self._dispatch_batched(pending, bases)
             return
-        if executor not in ("process", "colonies"):
+        if executor == "serial":
+            for _, unit in pending:
+                yield self._attempt_cell(unit, 1, bases)
+            return
+        if executor == "thread":
             pending_units = [unit for _, unit in pending]
             yield from imap_with_state(
                 _run_indexed_unit,
@@ -1093,7 +1194,7 @@ class ExperimentEngine:
     # ------------------------------------------------------------------ #
 
     def _dispatch_batched(
-        self, pending: Sequence[tuple[int, WorkUnit]]
+        self, pending: Sequence[tuple[int, WorkUnit]], bases: _BaseMemo | None = None
     ) -> Iterator[CellOutcome]:
         """Stream outcomes with Ant Colony cells executed as cross-graph packs.
 
@@ -1106,7 +1207,7 @@ class ExperimentEngine:
         call the first time the stream reaches one of its cells — laziness
         the interruption hook (``REPRO_ENGINE_MAX_CELLS``) relies on.
         Non-ACO cells (builtins, callables, seedless specs) execute serially
-        in place, exactly as the serial executor would.
+        in place, exactly as the serial executor would, sharing *bases*.
         """
         batch_size = self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
         groups: dict[str, list[int]] = {}
@@ -1146,7 +1247,7 @@ class ExperimentEngine:
                 )
                 yield ready.pop(pos)
             else:
-                yield self._attempt_cell(unit, 1)
+                yield self._attempt_cell(unit, 1, bases)
 
     def _split_chunk_by_budget(
         self, chunk: list[int], pending: Sequence[tuple[int, WorkUnit]]

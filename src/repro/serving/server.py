@@ -263,6 +263,11 @@ def build_unit(
     return unit, deadline_s
 
 
+def _deadline_body(name: str, detail: str) -> dict[str, Any]:
+    """The ``504`` body of a request whose budget ran out."""
+    return {"error": "deadline", "kind": "timeout", "name": name, "detail": detail}
+
+
 def _success_payload(cell: CellResult, attempts: int) -> dict[str, Any]:
     assert cell.metrics is not None
     return {
@@ -652,12 +657,10 @@ class LayoutServer:
                 pending.future, budget + RESPONSE_GRACE
             )
         except asyncio.TimeoutError:
-            status, body = 504, {
-                "error": "deadline",
-                "kind": "timeout",
-                "name": unit.resolved_graph_name,
-                "detail": f"no result within the {budget:.6g}s request budget",
-            }
+            status, body = 504, _deadline_body(
+                unit.resolved_graph_name,
+                f"no result within the {budget:.6g}s request budget",
+            )
         return status, body, {}
 
     def _memory_hit(self, unit: WorkUnit) -> dict[str, Any] | None:
@@ -710,12 +713,10 @@ class LayoutServer:
                 self._resolve_threadsafe(
                     pending,
                     504,
-                    {
-                        "error": "deadline",
-                        "kind": "timeout",
-                        "name": pending.unit.resolved_graph_name,
-                        "detail": "request budget expired while queued",
-                    },
+                    _deadline_body(
+                        pending.unit.resolved_graph_name,
+                        "request budget expired while queued",
+                    ),
                 )
             else:
                 live.append(pending)
@@ -758,10 +759,17 @@ class LayoutServer:
 
     def _finish(self, pending: _Pending, cell: CellResult) -> None:
         """Map one cell outcome onto the pending request (worker thread)."""
-        if cell.ok:
+        if cell.ok and time.monotonic() <= pending.deadline:
             self._resolve_threadsafe(
                 pending, 200, _success_payload(cell, pending.attempts)
             )
+            return
+        if cell.ok:
+            # The engine's cell deadline is floored at MIN_CELL_TIMEOUT, so a
+            # cell can succeed after its request's budget.  The answer is
+            # cached all the same: a retry is a memory hit.
+            detail = f"result came after the {pending.budget:.6g}s request budget"
+            self._resolve_threadsafe(pending, 504, _deadline_body(cell.graph_name, detail))
             return
         error = cell.error
         assert error is not None
@@ -773,14 +781,7 @@ class LayoutServer:
             return
         if error.kind == "timeout":
             self._resolve_threadsafe(
-                pending,
-                504,
-                {
-                    "error": "deadline",
-                    "kind": "timeout",
-                    "name": cell.graph_name,
-                    "detail": error.message,
-                },
+                pending, 504, _deadline_body(cell.graph_name, error.message)
             )
             return
         self._resolve_threadsafe(

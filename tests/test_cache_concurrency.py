@@ -1,25 +1,29 @@
 """Stress test: concurrent engines sharing one ``--cache-dir``.
 
 A server replica and a CLI run (or two server replicas) may hammer the same
-cache directory simultaneously — puts, gets, ``cache prune`` maintenance and
-``corrupt/`` quarantine moves all racing.  Every worker below performs a
+cache database simultaneously — puts, gets, ``cache prune`` maintenance and
+quarantine moves of garbled rows all racing.  Every worker below performs a
 randomized mix of those operations against one shared directory; the
-invariant is that *no* operation ever raises: every race (entry pruned
-mid-read, quarantine dir swept mid-move, shard rmdir'd mid-write) must
-degrade to a miss or a no-op, never to an exception or a hang.
+invariant is that *no* operation ever raises or trips the ``cache-disk``
+breaker: every race (row pruned mid-read, row rewritten or quarantined by
+another reader mid-move) must degrade to a miss or a no-op, never to an
+exception, a lock timeout or a hang.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import random
+import sqlite3
 import sys
 import threading
 
 import pytest
 
+import repro.experiments.cache as cache_module
 from repro.experiments.cache import CachedCell, ResultCache
 from repro.layering.metrics import LayeringMetrics
+from repro.utils import chaos, resources
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="fork start method required"
@@ -43,6 +47,12 @@ def _metrics(i: int) -> LayeringMetrics:
     )
 
 
+def _garble(cache: ResultCache, key: str) -> None:
+    """Rot the stored record of *key* behind the cache's back."""
+    with sqlite3.connect(cache.path) as db:
+        db.execute("UPDATE cells SET record = ? WHERE key = ?", (b"garbage", key))
+
+
 def _hammer(directory: str, seed: int, iterations: int, errors) -> None:
     """One worker's operation mix; any exception is reported to the parent."""
     rng = random.Random(seed)
@@ -57,12 +67,11 @@ def _hammer(directory: str, seed: int, iterations: int, errors) -> None:
                 hit = cache.get(key)
                 assert hit is None or isinstance(hit, CachedCell)
             elif op == 2:
-                # Garble the entry on disk so the next reader quarantines it.
-                path = cache.path_for(key)
-                try:
-                    path.write_bytes(b"\x00torn\x00")
-                except OSError:
-                    pass
+                # The store's own corrupt-cache chaos path garbles the row,
+                # so the next reader quarantines it.
+                cache.put(
+                    key, _metrics(step % 7), running_time=0.01, chaos_id=f"garble:{key}"
+                )
                 cache.get(key)
             elif op == 3:
                 cache.prune(older_than_seconds=0.0)
@@ -70,12 +79,15 @@ def _hammer(directory: str, seed: int, iterations: int, errors) -> None:
                 cache.prune(max_size_bytes=512)
             else:
                 cache.stats()
+        degraded = resources.governor().degraded()
+        assert degraded == [], f"breakers open: {degraded}"
     except BaseException as exc:  # pragma: no cover - the failure we hunt
         errors.put(f"worker {seed}: {type(exc).__name__}: {exc}")
 
 
 class TestConcurrentCacheMaintenance:
-    def test_put_get_prune_quarantine_races_never_raise(self, tmp_path):
+    def test_put_get_prune_quarantine_races_never_raise(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(chaos.CHAOS_ENV, "corrupt-cache@*:garble:*")
         ctx = multiprocessing.get_context("fork")
         errors = ctx.Queue()
         workers = [
@@ -95,60 +107,72 @@ class TestConcurrentCacheMaintenance:
             failures.append(errors.get())
         assert failures == []
         # The cache must still be fully functional afterwards.
+        monkeypatch.delenv(chaos.CHAOS_ENV)
         survivor = ResultCache(tmp_path)
         survivor.put(KEYS[0], _metrics(0), running_time=0.5)
         hit = survivor.get(KEYS[0])
         assert hit is not None and hit.running_time == 0.5
+        with sqlite3.connect(survivor.path) as db:
+            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
 
-    def test_quarantine_tolerates_concurrent_sweep(self, tmp_path, monkeypatch):
-        """Quarantine retries when ``corrupt/`` is rmdir'd between mkdir and move."""
-        import os as _os
-
+    def test_quarantine_spares_a_row_rewritten_mid_read(self, tmp_path, monkeypatch):
+        """A healthy put landing between the read and the move is kept."""
         cache = ResultCache(tmp_path, memory_entries=0)
         cache.put(KEYS[1], _metrics(1), running_time=0.1)
-        path = cache.path_for(KEYS[1])
-        path.write_bytes(b"garbage")
+        _garble(cache, KEYS[1])
+        other = ResultCache(tmp_path, memory_entries=0)  # another process's view
+        real_verified = cache_module._verified
 
-        real_replace = _os.replace
-        fired = {"n": 0}
+        def racing_verified(record, sha256):
+            # The garbled row was read; a concurrent put rewrites it now.
+            other.put(KEYS[1], _metrics(2), running_time=0.2)
+            return real_verified(record, sha256)
 
-        def racing_replace(src, dst):
-            # First attempt: simulate a concurrent `prune --older-than`
-            # sweeping the quarantine directory after our mkdir.
-            if fired["n"] == 0 and str(dst).startswith(str(cache.quarantine_dir)):
-                fired["n"] += 1
-                cache.quarantine_dir.rmdir()
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(_os, "replace", racing_replace)
-        assert cache.get(KEYS[1]) is None  # miss, not an exception
+        monkeypatch.setattr(cache_module, "_verified", racing_verified)
+        assert cache.get(KEYS[1]) is None  # the garbled read is a miss...
         monkeypatch.undo()
-        assert not path.exists()
-        assert (cache.quarantine_dir / path.name).exists()
+        hit = cache.get(KEYS[1])
+        assert hit is not None and hit.running_time == 0.2  # ...the rewrite stays
+        assert cache.stats().quarantined == 0
+
+    def test_quarantine_tolerates_concurrent_sweep(self, tmp_path, monkeypatch):
+        """A prune sweeping the row between the read and the move: no error."""
+        cache = ResultCache(tmp_path, memory_entries=0)
+        cache.put(KEYS[3], _metrics(3), running_time=0.1)
+        _garble(cache, KEYS[3])
+        other = ResultCache(tmp_path, memory_entries=0)
+        real_verified = cache_module._verified
+
+        def sweeping_verified(record, sha256):
+            other.prune(max_size_bytes=0)  # a concurrent `cache prune`
+            return real_verified(record, sha256)
+
+        monkeypatch.setattr(cache_module, "_verified", sweeping_verified)
+        assert cache.get(KEYS[3]) is None  # miss, not an exception
+        monkeypatch.undo()
+        stats = cache.stats()
+        assert stats.entries == 0 and stats.quarantined == 0
 
     def test_quarantine_source_stolen_by_other_process(self, tmp_path, monkeypatch):
-        """ENOENT on the source means another reader won; silently stand down."""
-        import os as _os
-
+        """Another reader quarantined the row first: it moves once, no error."""
         cache = ResultCache(tmp_path, memory_entries=0)
         cache.put(KEYS[2], _metrics(2), running_time=0.1)
-        path = cache.path_for(KEYS[2])
-        path.write_bytes(b"garbage")
+        _garble(cache, KEYS[2])
+        other = ResultCache(tmp_path, memory_entries=0)
+        real_verified = cache_module._verified
+        fired: list[bool] = []
 
-        real_replace = _os.replace
+        def stealing_verified(record, sha256):
+            if not fired:
+                fired.append(True)
+                assert other.get(KEYS[2]) is None  # the other reader moves it
+            return real_verified(record, sha256)
 
-        def stealing_replace(src, dst):
-            if str(dst).startswith(str(cache.quarantine_dir)):
-                try:
-                    path.unlink()  # the "other process" quarantines first
-                except OSError:
-                    pass
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(_os, "replace", stealing_replace)
+        monkeypatch.setattr(cache_module, "_verified", stealing_verified)
         assert cache.get(KEYS[2]) is None
         monkeypatch.undo()
-        assert cache.stats().quarantined == 0
+        stats = cache.stats()
+        assert stats.entries == 0 and stats.quarantined == 1  # moved once
 
 
 class TestThreadSharedInstance:

@@ -174,7 +174,7 @@ class TestCacheChaos:
         cache = ResultCache(cache_dir)
         assert cache.stats().quarantined == 2  # one AntColony cell per graph
         assert main(["cache", "stats", str(cache_dir)]) == 0
-        assert "quarantined (corrupt/): 2" in capsys.readouterr().out
+        assert "quarantined: 2" in capsys.readouterr().out
 
     def test_timed_out_cells_are_never_cached(self, monkeypatch, tmp_path):
         monkeypatch.setenv(chaos.CHAOS_ENV, "hang@30@*:AntColony:att-like-n10-*")

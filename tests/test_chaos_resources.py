@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -311,28 +312,31 @@ def _fill_cache(cache: ResultCache, n: int = 3) -> None:
         cache.put(f"entry-{i:02d}", metrics, 0.1)
 
 
+def _quarantine_rotten(cache: ResultCache) -> None:
+    """A 4 KiB quarantined row stored at the epoch: the oldest in the pool."""
+    with sqlite3.connect(cache.path) as db:
+        db.execute(
+            "INSERT INTO quarantine VALUES ('rotten', ?, 'not-a-digest', 0)",
+            (b"x" * 4096,),
+        )
+
+
 class TestPruneWatermarks:
     def test_quarantine_counts_toward_max_size(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         _fill_cache(cache, 2)
-        cache.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        rotten = cache.quarantine_dir / "rotten.json"
-        rotten.write_bytes(b"x" * 4096)
-        os.utime(rotten, (0, 0))  # oldest in the merged pool
+        _quarantine_rotten(cache)
         result = cache.prune(max_size_bytes=0)
         assert result.quarantine_removed == 1
         assert result.removed == 2 and result.kept == 0
-        assert not rotten.exists()
+        assert cache.stats().quarantined == 0
 
     def test_quarantine_evicted_oldest_first_within_budget(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         _fill_cache(cache, 2)
-        cache.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        rotten = cache.quarantine_dir / "rotten.json"
-        rotten.write_bytes(b"x" * 4096)
-        os.utime(rotten, (0, 0))
+        _quarantine_rotten(cache)
         stats = cache.stats()
-        # A budget that only the quarantine file breaks: the (oldest)
+        # A budget that only the quarantined row breaks: the (oldest)
         # quarantined bytes go first, the live entries survive.
         result = cache.prune(max_size_bytes=stats.total_bytes)
         assert result.quarantine_removed == 1

@@ -248,7 +248,9 @@ class TestJournalResume:
         calls = []
         real = engine_module._execute_unit
         monkeypatch.setattr(
-            engine_module, "_execute_unit", lambda u: calls.append(u) or real(u)
+            engine_module,
+            "_execute_unit",
+            lambda u, *rest: calls.append(u) or real(u, *rest),
         )
         resumed = ExperimentEngine(journal=RunJournal(tmp_path), resume=True).run(_units())
         assert calls == []  # every cell replayed from the journal

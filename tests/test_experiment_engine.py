@@ -14,6 +14,7 @@ from repro.experiments.engine import (
     MethodSpec,
     WorkUnit,
     default_method_specs,
+    unit_cache_key,
 )
 from repro.experiments.figures import figure4
 from repro.experiments.runner import run_comparison
@@ -177,9 +178,10 @@ class TestResultCache:
         monkeypatch.setattr(
             engine_module,
             "_execute_unit",
-            lambda unit: calls.append(unit) or real_execute(unit),
+            lambda unit, *rest: calls.append(unit) or real_execute(unit, *rest),
         )
         comparison = _run(ExperimentEngine(cache=cache))
+        assert not comparison.failures
         assert len(calls) == len(comparison.results)
         calls.clear()
         warm = _run(ExperimentEngine(cache=cache))
@@ -217,14 +219,22 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        import hashlib
+        import sqlite3
+
         cache = ResultCache(tmp_path)
         key = cache_key(content_digest({"x": 1}), {"name": "LPL", "aco_params": None}, 1.0)
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_text("not json", encoding="utf-8")
-        assert cache.get(key) is None
-        path.write_text('{"format": "something-else"}', encoding="utf-8")
-        assert cache.get(key) is None
+        assert cache.get(key) is None  # opens (creates) the database
+        # Rows whose checksum matches but whose record is not a cell record.
+        for record in (b"not json", b'{"format": "something-else"}'):
+            with sqlite3.connect(cache.path) as db:
+                db.execute(
+                    "INSERT INTO cells (key, record, sha256) VALUES (?, ?, ?)",
+                    (key, record, hashlib.sha256(record).hexdigest()),
+                )
+            assert cache.get(key) is None
+        stats = cache.stats()
+        assert stats.entries == 0 and stats.quarantined == 1
 
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
@@ -243,9 +253,8 @@ class TestResultCache:
 
 class TestCacheMaintenance:
     def _fill(self, tmp_path, *, ages=(0, 0, 0)):
-        """A cache with one LPL entry per corpus graph, mtimes staggered by *ages* (s)."""
-        import os
-        import time as time_module
+        """A cache with one LPL entry per corpus graph, stored *ages* seconds ago."""
+        import sqlite3
 
         cache = ResultCache(tmp_path)
         engine = ExperimentEngine(cache=cache)
@@ -255,23 +264,33 @@ class TestCacheMaintenance:
             for e in corpus[: len(ages)]
         ]
         engine.run(units)
-        now = time_module.time()
-        paths = sorted(tmp_path.glob("??/*.json"))
-        for path, age in zip(paths, ages):
-            os.utime(path, (now - age, now - age))
+        with sqlite3.connect(cache.path) as db:
+            for unit, age in zip(units, ages):
+                db.execute(
+                    "UPDATE cells SET stored_at = stored_at - ? WHERE key = ?",
+                    (age, unit_cache_key(unit)),
+                )
         return cache
+
+    @staticmethod
+    def _column(cache, sql):
+        import sqlite3
+
+        with sqlite3.connect(cache.path) as db:
+            return [value for (value,) in db.execute(sql)]
 
     def test_stats_counts_entries_and_bytes(self, tmp_path):
         cache = self._fill(tmp_path)
         stats = cache.stats()
         assert stats.entries == len(cache) == 3
-        assert stats.total_bytes > 0
-        assert stats.oldest_mtime is not None
+        assert stats.total_bytes == sum(self._column(cache, "SELECT length(record) FROM cells"))
+        assert stats.oldest_stored_at is not None
 
     def test_stats_on_missing_directory(self, tmp_path):
         stats = ResultCache(tmp_path / "nope").stats()
         assert stats.entries == 0 and stats.total_bytes == 0
-        assert stats.oldest_mtime is None
+        assert stats.oldest_stored_at is None
+        assert not (tmp_path / "nope").exists()  # reading never creates a store
 
     def test_prune_by_age(self, tmp_path):
         cache = self._fill(tmp_path, ages=(7200, 7200, 0))
@@ -281,14 +300,14 @@ class TestCacheMaintenance:
 
     def test_prune_by_size_evicts_oldest_first(self, tmp_path):
         cache = self._fill(tmp_path, ages=(300, 200, 100))
-        # A budget of one (largest) entry keeps exactly the newest file.
-        largest = max(p.stat().st_size for p in tmp_path.glob("??/*.json"))
+        # A budget of one (largest) record keeps exactly the newest row.
+        largest = max(self._column(cache, "SELECT length(record) FROM cells"))
         result = cache.prune(max_size_bytes=largest)
         assert result.removed == 2
         # The newest entry (age 100 s) survives the size squeeze.
         import time as time_module
 
-        survivors = [p.stat().st_mtime for p in tmp_path.glob("??/*.json")]
+        survivors = self._column(cache, "SELECT stored_at FROM cells")
         assert len(survivors) == 1
         assert survivors[0] > time_module.time() - 150
 
@@ -296,8 +315,8 @@ class TestCacheMaintenance:
         cache = self._fill(tmp_path)
         result = cache.prune(max_size_bytes=0)
         assert result.kept == 0 and len(cache) == 0
-        # Shard directories left empty were removed too.
-        assert list(tmp_path.glob("??")) == []
+        # The write-ahead log was checkpointed into the shrunk file.
+        assert (tmp_path / "cells.sqlite-wal").stat().st_size == 0
 
     def test_pruned_entries_are_cache_misses_not_errors(self, tmp_path):
         cache = self._fill(tmp_path)

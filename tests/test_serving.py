@@ -20,6 +20,7 @@ from repro.graph.digraph import DiGraph
 from repro.serving import LayoutServer, ServeConfig, build_unit
 from repro.serving.http import HttpError, read_request, response_bytes
 from repro.serving.server import _Pending
+from repro.utils import chaos
 from repro.utils.exceptions import ValidationError
 
 from serving_harness import (
@@ -232,6 +233,22 @@ class TestLayering:
             status, body = harness.layer(payload)
         assert status == 504
         assert body["kind"] == "timeout" and body["name"] == "core-expired"
+
+    def test_miss_finished_past_its_budget_answers_504(self, harness, monkeypatch):
+        # The engine floors its cell deadline at MIN_CELL_TIMEOUT (50 ms), so
+        # a 30 ms cell finishes inside that deadline but after the request's
+        # own 20 ms budget: the answer is late and says so.
+        name = "late-miss"
+        monkeypatch.setenv(chaos.CHAOS_ENV, f"slow@0.03:AntColony:{name}")
+        payload = layer_payload(name, graph=unique_graph(name), deadline_s=0.02)
+        status, body = harness.layer(payload)
+        assert status == 504
+        assert body["kind"] == "timeout" and body["name"] == name
+        assert "after the 0.02s request budget" in body["detail"]
+        monkeypatch.delenv(chaos.CHAOS_ENV)
+        # The late result was cached all the same: a repeat is a memory hit.
+        status, again = harness.layer(payload)
+        assert status == 200 and again["cached"] is True
 
 
 class TestMemoryHits:
