@@ -76,7 +76,7 @@ def main() -> None:
 
         # 1. Transient raise + retries: tables identical, retry counted.
         chaotic = run(
-            ["--retries", "2", "--progress"],
+            ["--executor", "serial", "--retries", "2", "--progress"],
             {"REPRO_CHAOS": "raise:AntColony:*"},
         )
         if deterministic_tables(chaotic.stdout) != reference:
@@ -89,7 +89,7 @@ def main() -> None:
         # 2. Permanent hang + deadline: the hung cell times out, the run
         # completes and labels the loss.
         hung = run(
-            ["--timeout", "2", "--progress"],
+            ["--executor", "serial", "--timeout", "2", "--progress"],
             {"REPRO_CHAOS": "hang@30@*:AntColony:att-like-n10-*"},
         )
         if "1 of 10 cells failed" not in hung.stdout or "timeout" not in hung.stdout:

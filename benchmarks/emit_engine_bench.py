@@ -94,7 +94,7 @@ def measure_engine_speedup(*, graphs_per_group: int = 2, jobs: int | None = None
     corpus, algorithms = _workload(graphs_per_group)
     jobs = jobs if jobs is not None else max(MIN_JOBS, os.cpu_count() or 1)
 
-    serial_s, serial = _timed_run(corpus, algorithms, ExperimentEngine())
+    serial_s, serial = _timed_run(corpus, algorithms, ExperimentEngine(executor="serial"))
     batched_s, batched = _timed_run(
         corpus, algorithms, ExperimentEngine(executor="batched")
     )
@@ -190,10 +190,12 @@ def measure_full_corpus() -> tuple[dict, dict]:
             raise RuntimeError("keep_results=False must not keep cells")
         return elapsed, comparison
 
-    elapsed, serial = _one_run(ExperimentEngine())
+    elapsed, serial = _one_run(ExperimentEngine(executor="serial"))
 
     tracemalloc.start()
-    run_comparison(corpus, specs, engine=ExperimentEngine(), keep_results=False)
+    run_comparison(
+        corpus, specs, engine=ExperimentEngine(executor="serial"), keep_results=False
+    )
     _, traced_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 

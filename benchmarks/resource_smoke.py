@@ -80,7 +80,7 @@ def main() -> None:
         # 1. An in-process allocation blow-up is labelled oom, not crash,
         # and poisons only its own cell.
         oomed = run(
-            [],
+            ["--executor", "serial"],
             {"REPRO_CHAOS": "oom@8388608@*:AntColony:att-like-n10-*"},
         )
         if "1 of 10 cells failed" not in oomed.stdout or "1 oom" not in oomed.stdout:

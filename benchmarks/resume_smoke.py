@@ -111,12 +111,13 @@ def smoke_one(executor_args: list[str], label: str) -> str:
 
 
 def main() -> None:
-    serial_tables = smoke_one([], "serial")
-    # The batched variant interrupts *mid-pack*: the cap fires after 4 cells
-    # while the cross-graph pack computed more — the journal must still hold
-    # exactly the yielded cells, resume must replay (not re-execute) them,
-    # and the final tables must match the serial executor byte for byte.
-    batched_tables = smoke_one(["--executor", "batched"], "batched")
+    serial_tables = smoke_one(["--executor", "serial"], "serial")
+    # The batched variant (the default executor) interrupts *mid-pack*: the
+    # cap fires after 4 cells while the cross-graph pack computed more — the
+    # journal must still hold exactly the yielded cells, resume must replay
+    # (not re-execute) them, and the final tables must match the serial
+    # executor byte for byte.
+    batched_tables = smoke_one([], "batched")
     if batched_tables != serial_tables:
         raise SystemExit("batched executor tables diverge from the serial executor")
     print("resume smoke OK: batched tables byte-identical to serial")

@@ -31,17 +31,18 @@ Installed as the ``repro-dag`` console script (also reachable via
 
 The experiment sub-commands (``compare``, ``figures``, ``tune``) dispatch
 their (graph × algorithm) cells through the shared experiment engine
-(:mod:`repro.experiments.engine`): ``--executor process --jobs N`` spreads
-the cells over N worker processes, ``--executor colonies --colonies K``
-additionally runs every AntColony cell as a K-colony lockstep portfolio
-(:mod:`repro.aco.runtime`), ``--executor batched [--batch-size N]`` packs
-same-spec AntColony cells into cross-graph megabatches advanced by shared
-lockstep kernel sweeps (bit-identical results, the fast path for
-full-corpus runs on any machine), and ``--cache-dir DIR`` enables the
-content-addressed result cache so repeated runs over the same corpus and
-parameters are incremental.  ``--jobs`` caps the process-, thread- and
-colonies-executor pools only: batched packs run in-process, spread over the
-walk kernel's ``REPRO_ACO_THREADS`` threads.
+(:mod:`repro.experiments.engine`).  The default ``--executor batched
+[--batch-size N]`` packs same-spec AntColony cells into cross-graph
+megabatches advanced by shared lockstep kernel sweeps, in-process on the
+walk kernel's ``REPRO_ACO_THREADS`` threads; ``--executor serial`` runs
+every cell on its own and measures each AntColony cell's own running time;
+``--executor process --jobs N`` spreads the cells over N supervised worker
+processes for crash isolation (``--jobs`` caps this pool only).  All three
+print identical tables apart from the running times.  ``--colonies K``
+runs every AntColony cell as a K-colony lockstep portfolio
+(:mod:`repro.aco.runtime`) on any executor, and ``--cache-dir DIR`` enables
+the content-addressed result cache so repeated runs over the same corpus
+and parameters are incremental.
 
 Full-corpus-scale runs add: ``compare --full`` (the paper's entire
 1277-graph corpus), fault isolation by default (a raising cell is recorded
@@ -75,7 +76,12 @@ from repro.aco import _native
 from repro.aco.params import ACOParams
 from repro.datasets.corpus import GROUP_VERTEX_COUNTS, att_like_corpus
 from repro.experiments.cache import ResultCache
-from repro.experiments.engine import ExperimentEngine, RunProgress, default_method_specs
+from repro.experiments.engine import (
+    ENGINE_EXECUTORS,
+    ExperimentEngine,
+    RunProgress,
+    default_method_specs,
+)
 from repro.experiments.figures import FIGURES
 from repro.experiments.reporting import format_comparison, format_figure, format_sweep
 from repro.experiments.runner import run_comparison
@@ -251,15 +257,16 @@ class _ProgressReporter:
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
-        choices=("serial", "thread", "process", "colonies", "batched"),
-        default="serial",
+        choices=ENGINE_EXECUTORS,
+        default=ENGINE_EXECUTORS[0],
         help=(
-            "how experiment cells are dispatched (default serial); 'colonies' "
-            "dispatches like 'process' and pairs with --colonies to run every "
-            "AntColony cell through the lockstep multi-colony runtime; "
-            "'batched' packs same-spec AntColony cells into cross-graph "
-            "megabatches advanced by shared lockstep kernel sweeps (identical "
-            "results, one kernel call per tour per pack)"
+            "how experiment cells are dispatched (identical tables apart from "
+            "running times; default batched): 'batched' packs same-spec "
+            "AntColony cells into cross-graph megabatches, one kernel call per "
+            "tour per pack, and reports each a vertex-weighted share of its "
+            "pack's time; 'serial' runs every cell on its own and measures "
+            "each one's running time; 'process' runs cells in supervised "
+            "worker processes, so a crashing cell costs only itself"
         ),
     )
     parser.add_argument(
@@ -267,9 +274,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "worker count for the process, thread and colonies executors "
-            "(default: REPRO_JOBS or CPU count); batched packs run "
-            "in-process on REPRO_ACO_THREADS kernel threads"
+            "worker count for --executor process only (default: REPRO_JOBS "
+            "or CPU count); its workers run a one-thread walk kernel"
         ),
     )
     parser.add_argument(

@@ -1,8 +1,8 @@
 """Experiment harness: regenerate every figure of the paper's evaluation.
 
 * :mod:`repro.experiments.engine` — the shared parallel experiment engine:
-  every comparison/figure/sweep cell is dispatched over a process, thread or
-  serial executor, with an optional content-addressed result cache;
+  every comparison/figure/sweep cell is dispatched over the batched (default),
+  serial or process executor, with an optional content-addressed result cache;
 * :mod:`repro.experiments.cache` — the on-disk cache backing the engine;
 * :mod:`repro.experiments.runner` — run any set of layering algorithms over a
   corpus and aggregate the paper's metrics per vertex-count group;

@@ -11,21 +11,25 @@ This module provides the one dispatcher they all share:
   cross a process boundary (builtin registry name, Ant Colony parameters) or
   wrap an arbitrary in-process callable;
 * :class:`WorkUnit` / :class:`CellResult` — one cell of work and its outcome;
-* :class:`ExperimentEngine` — runs cells over the ``"process"``, ``"thread"``
-  or ``"serial"`` back ends of :mod:`repro.utils.pool` (the graph table is
-  shipped to each process-pool worker exactly once via the pool initializer,
-  the per-cell submissions carry only a graph reference and a method spec)
-  with an optional content-addressed on-disk cache
-  (:mod:`repro.experiments.cache`) making repeated runs incremental.  The
-  fourth executor name, ``"colonies"``, dispatches cells like ``"process"``
-  and exists so experiment commands advertise the multi-colony runtime:
-  Ant Colony specs carrying ``n_colonies > 1`` run each cell as a
-  lockstep colony portfolio (:mod:`repro.aco.runtime`), batching all
-  colonies' ants into lockstep kernel calls inside the worker.  The
-  ``"batched"`` executor packs Ant Colony cells across graphs and runs each
-  pack in-process; its only parallelism is the walk kernel's
-  ``REPRO_ACO_THREADS`` threads, so ``jobs`` caps the process/thread
-  executors alone.
+* :class:`ExperimentEngine` — runs cells on one of three executors
+  (:data:`ENGINE_EXECUTORS`), with an optional content-addressed result
+  cache (:mod:`repro.experiments.cache`) making repeated runs incremental:
+
+  - ``"batched"`` (the default) packs the seeded Ant Colony cells across
+    graphs and runs each pack in-process through
+    :func:`repro.aco.runtime.run_packed_colonies`; its only parallelism is
+    the walk kernel's ``REPRO_ACO_THREADS`` threads.  Every other cell runs
+    as under ``"serial"``.
+  - ``"serial"`` runs every cell on its own, in order, in-process — the
+    one executor that measures each Ant Colony cell's own running time.
+  - ``"process"`` spreads the cells over ``jobs`` supervised worker
+    processes (:mod:`repro.utils.pool`) for crash isolation.  The graph
+    table is shipped to each worker exactly once via the pool initializer;
+    the per-cell submissions carry only a graph reference and a method
+    spec, and each worker runs the walk kernel on one thread.
+
+  An Ant Colony spec carrying ``n_colonies > 1`` runs each cell as a
+  lockstep colony portfolio on every executor.
 
 Full-corpus-scale lifecycle (the paper's evaluation is 1277 graphs × 5
 algorithms ≈ 6400 cells, minutes of wall-clock):
@@ -63,20 +67,20 @@ in-process sequential paths — ``serial``, the baseline cells of
 base computes it and the graph's later cells reuse it, so a ``+PL`` cell
 costs one promotion.  Its ``running_time`` is the base's measured time plus
 the promotion's, so runtime columns keep the paper's meaning.  The
-``thread`` and ``process`` executors compute every cell on its own.
+``process`` executor computes every cell on its own.
 
 Callable-backed method specs cannot be pickled; the engine runs them in the
-parent process (under ``executor="thread"`` they still use the pool), so
-custom algorithms keep working with any executor — they just do not gain
-multi-core speed-up unless registered in :data:`BUILTIN_METHODS`, and they
-are neither cached nor journaled (their behaviour has no content identity).
+parent process, so custom algorithms keep working with any executor — they
+just do not gain multi-core speed-up unless registered in
+:data:`BUILTIN_METHODS`, and they are neither cached nor journaled (their
+behaviour has no content identity).
 
 Hardening (this is the substrate a long-lived ``repro-dag serve`` will sit
 on, so the impolite failure modes are first-class):
 
 * **Deadlines** — ``cell_timeout=`` (CLI: ``--timeout``) bounds every
-  cell's execution: serial/thread cells through watchdog-bounded waits,
-  process/colonies cells through pool-side supervision (the overdue worker
+  cell's execution: serial cells through an interval timer or watchdog
+  thread, process cells through pool-side supervision (the overdue worker
   is killed and replaced), batched packs through a pack-level budget of
   ``cell_timeout × pack size`` with a per-cell serial fallback.  A timed
   out cell is recorded as ``CellError(kind="timeout")`` and never cached.
@@ -101,14 +105,15 @@ simulating a kill mid-run without racing an actual signal.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import sys
 import time
 import traceback
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.aco._native import REPRO_ACO_THREADS_ENV
 from repro.aco.layering_aco import aco_layering
 from repro.aco.params import ACOParams
 from repro.aco.parallel import _derive_colony_seeds, parallel_aco_layering, portfolio_result
@@ -124,13 +129,7 @@ from repro.layering.promote import promote_layering
 from repro.utils import chaos, resources
 from repro.utils.chaos import FAIL_CELLS_ENV
 from repro.utils.exceptions import ReproError, ValidationError
-from repro.utils.pool import (
-    EXECUTORS,
-    TaskFailure,
-    effective_workers,
-    imap_with_state,
-    run_with_deadline,
-)
+from repro.utils.pool import TaskFailure, effective_workers, imap_with_state, run_with_deadline
 
 __all__ = [
     "BUILTIN_METHODS",
@@ -150,13 +149,9 @@ __all__ = [
     "unit_cache_key",
 ]
 
-#: Executor names accepted by the engine: the generic pool back ends,
-#: ``"colonies"`` (dispatches cells like ``"process"`` and signals that
-#: multi-colony Ant Colony specs should use the lockstep colony runtime) and
-#: ``"batched"`` (cross-graph megabatching: pending Ant Colony cells with
-#: identical specs are packed and advanced through shared lockstep kernel
-#: sweeps, see :mod:`repro.aco.runtime`).
-ENGINE_EXECUTORS = EXECUTORS + ("colonies", "batched")
+#: Executor names accepted by the engine, the default first (see the module
+#: docstring for what each is for).
+ENGINE_EXECUTORS = ("batched", "serial", "process")
 
 #: How many graphs one cross-graph pack holds by default.  Bounds the padded
 #: per-pack arrays (pheromone stack, walk state) to tens of megabytes at
@@ -632,8 +627,15 @@ def _normalize_outcome(outcome: Any) -> CellOutcome:
     return outcome
 
 
-def _decode_graph_table(payload: Mapping[str, dict[str, Any]]) -> dict[str, DiGraph]:
-    """Per-worker state: decode the shared ``ref -> graph JSON`` table once."""
+def _init_worker(payload: Mapping[str, dict[str, Any]]) -> dict[str, DiGraph]:
+    """Process-pool worker state: the shared ``ref -> graph JSON`` table, decoded once.
+
+    A worker also runs the walk kernel on one thread, since the pool's
+    workers already occupy the cores.  The pool's in-parent fallback
+    builds its state here too and keeps the parent's thread count.
+    """
+    if multiprocessing.parent_process() is not None:
+        os.environ[REPRO_ACO_THREADS_ENV] = "1"
     return {ref: from_json_dict(graph_json) for ref, graph_json in payload.items()}
 
 
@@ -651,11 +653,6 @@ def _run_cell(
     return _safe_execute(unit, cell_id)
 
 
-def _run_indexed_unit(state: Sequence[WorkUnit], index: int) -> CellOutcome:
-    """Thread-pool worker entry point: run the *index*-th pending unit."""
-    return _safe_execute(state[index])
-
-
 @dataclass
 class ExperimentEngine:
     """Dispatch experiment cells over an executor, with caching, fault
@@ -664,14 +661,13 @@ class ExperimentEngine:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"`` or
-        ``"colonies"`` (process-style dispatch; pair with multi-colony
-        Ant Colony specs, see :meth:`MethodSpec.ant_colony`).
+        ``"batched"`` (default), ``"serial"`` or ``"process"``; see
+        :data:`ENGINE_EXECUTORS`.
     jobs:
-        Worker cap for the ``"process"``, ``"thread"`` and ``"colonies"``
-        pools (default: ``REPRO_JOBS`` or the CPU count, clamped to the
-        pending cell count).  The ``"batched"`` executor ignores it: packs
-        run in-process on the walk kernel's ``REPRO_ACO_THREADS`` threads.
+        Worker cap for the ``"process"`` pool (default: ``REPRO_JOBS`` or
+        the CPU count, clamped to the pending cell count).  The other
+        executors ignore it: they run in-process, and packs use the walk
+        kernel's ``REPRO_ACO_THREADS`` threads.
     cache:
         Optional :class:`~repro.experiments.cache.ResultCache`; cacheable
         cells found in it are returned without recomputation
@@ -708,7 +704,7 @@ class ExperimentEngine:
         Optional per-worker memory budget in bytes (CLI:
         ``--memory-budget``).  The batched planner splits any pack whose
         estimated working set (:func:`repro.utils.resources.estimate_pack_cost`)
-        exceeds it, and process/colonies workers arm an ``RLIMIT_AS`` soft
+        exceeds it, and process workers arm an ``RLIMIT_AS`` soft
         cap so an over-budget cell fails as ``CellError(kind="oom")``
         instead of OOM-killing the box.  ``oom`` failures are never
         retried: re-running the same allocation against the same budget
@@ -716,7 +712,7 @@ class ExperimentEngine:
         armed) could take the whole run down.
     """
 
-    executor: str = "serial"
+    executor: str = ENGINE_EXECUTORS[0]
     jobs: int | None = None
     cache: ResultCache | None = None
     strict: bool = False
@@ -777,7 +773,7 @@ class ExperimentEngine:
         if resume and not run_dir:
             raise ValidationError("--resume needs --run-dir")
         return cls(
-            executor=executor or "serial",
+            executor=executor or ENGINE_EXECUTORS[0],
             jobs=jobs,
             cache=ResultCache(cache_dir) if cache_dir else None,
             strict=strict,
@@ -813,21 +809,6 @@ class ExperimentEngine:
         units = list(units)
         progress_cb = progress if progress is not None else self.progress
         max_cells = _max_cells()
-        if (
-            self.executor == "colonies"
-            and units
-            and not any(unit.method.n_colonies > 1 for unit in units)
-        ):
-            warnings.warn(
-                "executor='colonies' dispatches cells like 'process', and no "
-                "method spec carries n_colonies > 1 — the multi-colony "
-                "runtime is not in play.  Pass --colonies K (or "
-                "MethodSpec.ant_colony(..., n_colonies=K)) to run portfolio "
-                "cells.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
         replay = self._prepare_journal()
 
         # Pool-executor auto-downgrade: when the effective worker count
@@ -836,7 +817,7 @@ class ExperimentEngine:
         # 0.58x "speedup"), so the cells run serially instead — with a
         # one-line note rather than a silently paid tax.
         dispatch_executor = self.executor
-        if self.executor in ("process", "colonies") and units:
+        if self.executor == "process" and units:
             if effective_workers(self.jobs) == 1:
                 dispatch_executor = "serial"
                 if not self._downgrade_noted:
@@ -850,10 +831,10 @@ class ExperimentEngine:
         # The graph digest is computed once per distinct graph object and
         # shared by cache and journal keys.  The serialised JSON payload is
         # not retained for the whole run (corpus-many dicts would undercut
-        # the streaming-memory story); on the process-style executors it is
-        # stashed just long enough for the shipping table to pick it up
-        # without serialising the graph a second time.
-        ships_json = dispatch_executor in ("process", "colonies")
+        # the streaming-memory story); on the process executor it is stashed
+        # just long enough for the shipping table to pick it up without
+        # serialising the graph a second time.
+        ships_json = dispatch_executor == "process"
         digest_memo: dict[int, str] = {}
         json_stash: dict[int, dict[str, Any]] = {}
 
@@ -1130,18 +1111,6 @@ class ExperimentEngine:
             for _, unit in pending:
                 yield self._attempt_cell(unit, 1, bases)
             return
-        if executor == "thread":
-            pending_units = [unit for _, unit in pending]
-            yield from imap_with_state(
-                _run_indexed_unit,
-                [(k,) for k in range(len(pending_units))],
-                executor=executor,
-                max_workers=self.jobs,
-                shared_state=pending_units,
-                task_timeout=self.cell_timeout,
-                failure_mode="result",
-            )
-            return
 
         # Build the shared graph table: each distinct graph is serialised
         # once and shipped to each worker once (pool initializer).
@@ -1164,12 +1133,10 @@ class ExperimentEngine:
             imap_with_state(
                 _run_cell,
                 tasks,
-                executor="process",
-                max_workers=self.jobs,
-                init_fn=_decode_graph_table,
+                init_fn=_init_worker,
                 payload=table,
+                max_workers=self.jobs,
                 task_timeout=self.cell_timeout,
-                failure_mode="result",
                 memory_limit_bytes=self.memory_budget,
             )
             if tasks
@@ -1206,8 +1173,9 @@ class ExperimentEngine:
         Each pack runs as one :func:`repro.aco.runtime.run_packed_colonies`
         call the first time the stream reaches one of its cells — laziness
         the interruption hook (``REPRO_ENGINE_MAX_CELLS``) relies on.
-        Non-ACO cells (builtins, callables, seedless specs) execute serially
-        in place, exactly as the serial executor would, sharing *bases*.
+        Every other cell (builtins, callables, seedless specs, the
+        ``engine="python"`` reference loop) executes in place, exactly as the
+        serial executor would, sharing *bases*.
         """
         batch_size = self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
         groups: dict[str, list[int]] = {}
@@ -1220,6 +1188,9 @@ class ExperimentEngine:
                 # per-graph stream to replicate, so such cells keep the
                 # serial path (results would be nondeterministic either way).
                 and method.aco_params.get("seed") is not None
+                # A pack always runs the kernel; the reference loop stays
+                # the independent oracle on every executor.
+                and method.aco_params.get("engine") != "python"
             ):
                 key = canonical_json(
                     {"method": method.to_dict(), "nd_width": unit.nd_width}

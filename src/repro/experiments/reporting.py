@@ -23,6 +23,15 @@ __all__ = [
     "format_failures",
 ]
 
+#: Decimals of a running-time series.  A cell takes tens of microseconds to
+#: a few milliseconds, which two decimals of a second would print as 0.00.
+RUNNING_TIME_PRECISION = 6
+
+
+def _precision(metric: str, precision: int) -> int:
+    """*precision*, raised for the ``running_time`` metric (in seconds)."""
+    return max(precision, RUNNING_TIME_PRECISION) if metric == "running_time" else precision
+
 
 def format_failures(failures: Sequence[CellResult], total: int) -> str:
     """One-line footer summarising fault-isolated cells (empty string if none).
@@ -85,6 +94,7 @@ def format_series_table(
 def format_figure(figure: FigureData, *, precision: int = 2) -> str:
     """Render every panel of a reproduced figure as text tables.
 
+    Running-time panels get at least :data:`RUNNING_TIME_PRECISION` decimals.
     A figure built from a run with fault-isolated failures gets a footer —
     its series may be missing whole algorithms, which must not pass for a
     clean reproduction.
@@ -92,7 +102,11 @@ def format_figure(figure: FigureData, *, precision: int = 2) -> str:
     blocks = [f"{figure.figure_id.upper()}: {figure.title}"]
     for panel in figure.panels:
         blocks.append(
-            format_series_table(panel.series, value_header=panel.ylabel, precision=precision)
+            format_series_table(
+                panel.series,
+                value_header=panel.ylabel,
+                precision=_precision(panel.metric, precision),
+            )
         )
     footer = format_failures(figure.failures, figure.cells_total)
     if footer:
@@ -105,11 +119,14 @@ def format_comparison(
 ) -> str:
     """Render one metric of a comparison run as a text table.
 
+    ``running_time`` gets at least :data:`RUNNING_TIME_PRECISION` decimals.
     When the run had fault-isolated failures a footer line reports how many
     cells were excluded from the means.
     """
     table = format_series_table(
-        comparison.all_series(metric), value_header=metric, precision=precision
+        comparison.all_series(metric),
+        value_header=metric,
+        precision=_precision(metric, precision),
     )
     footer = format_failures(comparison.failures, comparison.cells_total)
     return f"{table}\n{footer}" if footer else table

@@ -337,8 +337,9 @@ def run_comparison(
         paper's five algorithms as specs.
     nd_width: dummy-vertex width used by the metrics.
     engine: the :class:`~repro.experiments.engine.ExperimentEngine` to
-        dispatch cells through; defaults to a serial, uncached engine, which
-        reproduces the historical in-process behaviour exactly.  Cells are
+        dispatch cells through; defaults to an uncached engine on the
+        default ``batched`` executor (identical metrics to ``serial``; only
+        Ant Colony running times are pack shares).  Cells are
         consumed through :meth:`~repro.experiments.engine.ExperimentEngine.
         run_iter` and aggregated as they complete; cells the engine
         fault-isolated land on :attr:`ComparisonResult.failures`.

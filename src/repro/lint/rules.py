@@ -17,9 +17,8 @@ after the fact:
   ``aco/kernels.py``) must agree on parameter names, order, and which
   per-walk arrays are nullable.
 * **RPL005** cross-process payloads — arguments shipped to pool workers via
-  ``map_with_state`` / ``imap_with_state`` must be picklable by
-  construction: no lambdas, nested functions, locks, open handles, or shm
-  views.
+  ``imap_with_state`` must be picklable by construction: no lambdas, nested
+  functions, locks, open handles, or shm views.
 * **RPL006** async-safety — ``async def`` bodies (the serving front end's
   event loop) must not make blocking calls: ``time.sleep``, synchronous
   ``open``/``Path.read_text``-style file I/O, ``subprocess`` invocations,
@@ -918,15 +917,15 @@ _UNPICKLABLE_FACTORIES = {
     "open",
 }
 
-_POOL_ENTRY_POINTS = {"map_with_state", "imap_with_state"}
+_POOL_ENTRY_POINTS = {"imap_with_state"}
 
 
 class PayloadRule(Rule):
     code = "RPL005"
     name = "cross-process-payloads"
     description = (
-        "payloads and callables handed to map_with_state/imap_with_state must "
-        "not capture lambdas, nested functions, locks, open handles, or shm views"
+        "payloads and callables handed to imap_with_state must not capture "
+        "lambdas, nested functions, locks, open handles, or shm views"
     )
 
     def check_module(self, module: LintModule, project: Project) -> Iterator[Finding]:

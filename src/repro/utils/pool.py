@@ -1,53 +1,37 @@
-"""Reusable process/thread/serial pool plumbing with per-worker shared state,
-crash-safe supervision and per-task deadlines.
+"""Supervised process pool with per-worker shared state and per-task deadlines.
 
-The experiment engine's executors run on it.  A payload describing the
-shared, read-only inputs of a run is shipped to every worker exactly once and
-decoded into per-worker state; the individual task submissions then carry
-only small per-task arguments.  For process pools this avoids paying
-O(tasks x payload) serialisation cost; for thread pools and the serial
-executor the state can be used directly without any serialisation at all
-(``shared_state``).
+The experiment engine's ``process`` executor runs on it.  A payload
+describing the shared, read-only inputs of a run is shipped to every worker
+exactly once and decoded into per-worker state by an initializer; the
+individual task submissions then carry only small per-task arguments, which
+avoids paying O(tasks x payload) serialisation cost.
 
-Determinism: tasks are submitted in order and results are collected in
-submission order, so the returned list is independent of the executor kind
-and the worker count.
+Determinism: tasks are submitted in order and results are yielded in
+submission order, so the stream is independent of the worker count.
 
 Hardening (the robustness layer the experiment engine sits on):
 
-* **Supervised process workers.**  The process back end no longer uses
-  ``concurrent.futures.ProcessPoolExecutor`` — whose reaction to a worker
-  dying (OOM kill, segfault, ``kill -9``) is to poison the whole pool with
-  ``BrokenProcessPool`` — but a small supervised pool: each worker is a
-  ``multiprocessing.Process`` with its own duplex pipe, and the parent
-  multiplexes result pipes *and* process sentinels through
-  :func:`multiprocessing.connection.wait`.  A worker that dies takes down
-  only its in-flight task (reported as a :class:`TaskFailure` of kind
-  ``"crash"`` or raised as :class:`WorkerCrashed`, per *failure_mode*); a
-  replacement worker is spawned with the same initializer payload and the
-  run continues.
+* **Supervised workers.**  Not ``concurrent.futures.ProcessPoolExecutor``
+  — whose reaction to a worker dying (OOM kill, segfault, ``kill -9``) is to
+  poison the whole pool with ``BrokenProcessPool`` — but a small supervised
+  pool: each worker is a ``multiprocessing.Process`` with its own duplex
+  pipe, and the parent multiplexes result pipes *and* process sentinels
+  through :func:`multiprocessing.connection.wait`.  A worker that dies takes
+  down only its in-flight task, which is yielded as a :class:`TaskFailure`
+  of kind ``"crash"``; a replacement worker is spawned with the same
+  initializer payload and the run continues.  A crash storm trips the
+  resource governor's ``respawn`` breaker, and the remaining tasks run in
+  the parent instead.
 * **Per-task deadlines.**  ``task_timeout=`` bounds every task's execution:
-  a process worker that exceeds it is killed (``SIGKILL``) and replaced and
-  the task reports a ``"timeout"`` :class:`TaskFailure`; the serial back
-  end runs each task on a watchdog-monitored daemon thread; the thread back
-  end bounds the wait for each task's result (the stuck thread itself
-  cannot be reclaimed — that is a CPython limitation — but the run moves
-  on, and injected chaos hangs are released so they cannot stall
-  interpreter shutdown).
-* **failure_mode.**  ``"raise"`` (default, the historical contract):
-  crashes and timeouts raise :class:`WorkerCrashed` /
-  :class:`TaskDeadlineExceeded` in the consumer.  ``"result"``: they are
-  yielded in-stream as :class:`TaskFailure` values, so a streaming consumer
-  (the experiment engine) can record the failure against the right task and
-  keep going.
+  a worker that exceeds it is killed (``SIGKILL``) and replaced, and the
+  task is yielded as a ``"timeout"`` :class:`TaskFailure`.
+  :func:`run_with_deadline` bounds in-process calls the same way.
 """
 
 from __future__ import annotations
 
 import asyncio.events
 import atexit
-import concurrent.futures
-import itertools
 import multiprocessing
 import os
 import queue
@@ -63,23 +47,17 @@ from repro.utils import chaos, resources
 from repro.utils.exceptions import ReproError, ValidationError
 
 __all__ = [
-    "EXECUTORS",
     "REPRO_JOBS_ENV",
     "TaskFailure",
-    "TaskDeadlineExceeded",
     "WorkerCrashed",
     "effective_workers",
     "imap_with_state",
-    "map_with_state",
     "run_with_deadline",
 ]
 
-#: The supported execution back ends.
-EXECUTORS = ("process", "thread", "serial")
-
-#: Environment variable capping the default worker count of every pool in the
-#: library (useful on oversubscribed CI boxes where ``os.cpu_count()`` lies
-#: about the cores actually available to the job).
+#: Environment variable capping the default worker count of the process pool
+#: (useful on oversubscribed CI boxes where ``os.cpu_count()`` lies about the
+#: cores actually available to the job).
 REPRO_JOBS_ENV = "REPRO_JOBS"
 
 
@@ -87,11 +65,11 @@ REPRO_JOBS_ENV = "REPRO_JOBS"
 class TaskFailure:
     """A task that produced no result: its worker crashed or its deadline passed.
 
-    Yielded in place of the task's result under ``failure_mode="result"``;
-    ``kind`` is ``"crash"`` (worker process died), ``"timeout"`` (the
-    per-task deadline passed) or ``"oom"`` (the worker died by signal while
-    an ``RLIMIT_AS`` memory budget was armed — the cap is the only thing in
-    the worker configured to kill it that way).
+    Yielded in place of the task's result; ``kind`` is ``"crash"`` (worker
+    process died), ``"timeout"`` (the per-task deadline passed) or ``"oom"``
+    (the worker died by signal while an ``RLIMIT_AS`` memory budget was
+    armed — the cap is the only thing in the worker configured to kill it
+    that way).
     """
 
     kind: str
@@ -99,11 +77,7 @@ class TaskFailure:
 
 
 class WorkerCrashed(ReproError):
-    """A pool worker died while running a task (``failure_mode="raise"``)."""
-
-
-class TaskDeadlineExceeded(ReproError):
-    """A task exceeded the per-task deadline (``failure_mode="raise"``)."""
+    """The pool lost a task's result: an unpicklable exception, or a logic error."""
 
 
 class _RemoteTraceback(Exception):
@@ -124,11 +98,10 @@ def effective_workers(
     An explicit *requested* value always wins.  When it is ``None`` the
     *env_var* environment variable (``REPRO_JOBS`` by default) is consulted
     before falling back to ``os.cpu_count()``, so CI boxes (and users) can
-    cap every pool in the library (the experiment engine's executors) with
-    one setting instead of each call site reading the raw CPU count.  The
-    native kernel's thread resolution
-    (:func:`repro.aco._native.effective_threads`) reuses the same ladder
-    with ``env_var="REPRO_ACO_THREADS"``.  The result is additionally
+    cap the experiment engine's process pool with one setting instead of
+    each call site reading the raw CPU count.  The native kernel's thread
+    resolution (:func:`repro.aco._native.effective_threads`) reuses the
+    same ladder with ``env_var="REPRO_ACO_THREADS"``.  The result is additionally
     clamped to *n_tasks* (no point spawning more workers than tasks) and
     floored at 1.
 
@@ -345,23 +318,6 @@ def run_with_deadline(fn: Callable[[], Any], timeout: float) -> tuple[bool, Any]
     return True, box["value"]
 
 
-#: Monotonically increasing tokens distinguishing concurrent runs.
-_RUN_TOKENS = itertools.count()
-
-#: Per-worker state installed by the pool initializer.  Keyed by a per-run
-#: token: thread-pool workers share this module with the caller (and with any
-#: concurrent runs).
-_WORKER_STATE: dict[int, Any] = {}
-
-#: Sentinel distinguishing "no shared state given" from ``None`` state.
-_UNSET = object()
-
-
-def _run_task(token: int, task_fn: Callable[..., Any], args: Sequence[Any]) -> Any:
-    """Thread-pool worker entry point using the state installed for this run."""
-    return task_fn(_WORKER_STATE[token], *args)
-
-
 # --------------------------------------------------------------------------- #
 # supervised process workers
 # --------------------------------------------------------------------------- #
@@ -474,30 +430,75 @@ def _death_kind(exitcode: int | None, memory_limit_bytes: int | None) -> str:
     return "oom" if -exitcode in {int(s) for s in fatal if s is not None} else "crash"
 
 
-def _supervised_imap(
+#: Sentinel: the in-parent fallback has not built its state yet.
+_UNSET = object()
+
+
+def _deliver(outcome: tuple) -> Any:
+    """Translate one worker outcome into the value the consumer sees."""
+    if outcome[0] != "exc":
+        return outcome[1]  # a result, or a TaskFailure
+    exc, tb = outcome[1], outcome[2]
+    if isinstance(exc, BaseException):
+        exc.__cause__ = _RemoteTraceback(tb)
+        raise exc
+    raise WorkerCrashed(f"task raised an unpicklable exception:\n{tb}")
+
+
+def imap_with_state(
     task_fn: Callable[..., Any],
-    task_list: Sequence[tuple],
+    tasks: Iterable[Sequence[Any]],
     *,
-    max_workers: int,
     init_fn: Callable[[Any], Any],
-    payload: Any,
-    task_timeout: float | None,
+    payload: Any = None,
+    max_workers: int | None = None,
+    task_timeout: float | None = None,
     memory_limit_bytes: int | None = None,
 ) -> Iterator[Any]:
-    """Stream ``("ok", result) | ("exc", exc, tb) | ("fail", TaskFailure)``
-    per task, in submission order, over supervised worker processes.
+    """Run ``task_fn(state, *task)`` for every task on supervised worker
+    processes, yielding the results in submission order.
 
-    Worker deaths feed the resource governor's ``respawn`` breaker: every
-    crash/oom death counts a consecutive failure, every delivered result a
-    success.  While the breaker is open (a crash *storm* — deaths with no
-    successful deliveries in between) dead workers are not replaced;
-    remaining tasks run in the parent serially instead of respawn-looping.
+    Parameters
+    ----------
+    task_fn:
+        Module-level callable (so it can cross a process boundary) receiving
+        the per-worker state followed by the task's own arguments.
+    tasks:
+        Argument tuples, one per task.  Every task runs in a worker, a lone
+        one included.
+    init_fn / payload:
+        Each worker builds its state once as ``init_fn(payload)``; both must
+        be picklable.
+    max_workers:
+        Worker cap; ``None`` resolves through :func:`effective_workers`
+        (``REPRO_JOBS`` env override, then the CPU count), clamped to the
+        task count.
+    task_timeout:
+        Per-task deadline in seconds: an overdue worker is killed and
+        replaced, and its task yields a ``"timeout"`` :class:`TaskFailure`.
+    memory_limit_bytes:
+        Arms a per-worker ``RLIMIT_AS`` soft cap, so an over-budget task
+        fails as :class:`MemoryError` (or, dying by signal, as an ``"oom"``
+        :class:`TaskFailure`) instead of OOM-killing the box.
+
+    A task that raises re-raises here, with the worker's traceback as its
+    ``__cause__``; a worker that dies yields a ``"crash"`` (or ``"oom"``)
+    :class:`TaskFailure` for its in-flight task.  Worker deaths feed the
+    resource governor's ``respawn`` breaker: every crash/oom death counts a
+    consecutive failure, every delivered result a success.  While the
+    breaker is open (a crash *storm* — deaths with no successful deliveries
+    in between) dead workers are not replaced; the remaining tasks run in
+    the parent instead of respawn-looping.  Closing the generator early
+    kills the workers.
     """
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValidationError(f"task_timeout must be > 0, got {task_timeout}")
+    task_list = [tuple(t) for t in tasks]
     n_tasks = len(task_list)
     governor = resources.governor()
     workers = [
         _SupervisedWorker(init_fn, payload, memory_limit_bytes)
-        for _ in range(min(max_workers, n_tasks))
+        for _ in range(min(effective_workers(max_workers), n_tasks))
     ]
     results: dict[int, tuple] = {}
     next_task = 0
@@ -581,7 +582,7 @@ def _supervised_imap(
         yield_index = 0
         while yield_index < n_tasks:
             while yield_index in results:
-                yield results.pop(yield_index)
+                yield _deliver(results.pop(yield_index))
                 yield_index += 1
             if yield_index >= n_tasks:
                 break
@@ -678,215 +679,3 @@ def _supervised_imap(
             worker.kill()
         for worker in workers:
             worker.reap()
-
-
-def _deliver(outcome: tuple, failure_mode: str) -> Any:
-    """Translate one supervised-pool outcome into the caller-facing value."""
-    kind = outcome[0]
-    if kind == "ok":
-        return outcome[1]
-    if kind == "exc":
-        exc, tb = outcome[1], outcome[2]
-        if isinstance(exc, BaseException):
-            exc.__cause__ = _RemoteTraceback(tb)
-            raise exc
-        raise WorkerCrashed(f"task raised an unpicklable exception:\n{tb}")
-    failure: TaskFailure = outcome[1]
-    if failure_mode == "result":
-        return failure
-    if failure.kind == "timeout":
-        raise TaskDeadlineExceeded(failure.message)
-    raise WorkerCrashed(failure.message)
-
-
-# --------------------------------------------------------------------------- #
-# the public map/imap API
-# --------------------------------------------------------------------------- #
-
-
-def imap_with_state(
-    task_fn: Callable[..., Any],
-    tasks: Iterable[Sequence[Any]],
-    *,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    init_fn: Callable[[Any], Any] | None = None,
-    payload: Any = None,
-    shared_state: Any = _UNSET,
-    task_timeout: float | None = None,
-    failure_mode: str = "raise",
-    memory_limit_bytes: int | None = None,
-) -> Iterator[Any]:
-    """Streaming :func:`map_with_state`: yield results in submission order.
-
-    Same contract and parameters as :func:`map_with_state`, but results are
-    yielded one at a time as they become available (the *i*-th yield is the
-    result of the *i*-th task, so consumers can aggregate incrementally
-    without the full result list ever being materialised).  The serial back
-    end executes each task lazily when its result is requested; the pool
-    back ends submit work as workers free up and shut the pool down when the
-    generator is exhausted or closed early.
-
-    With ``task_timeout`` set, every task's execution is bounded (see the
-    module docstring for how each back end enforces it); ``failure_mode``
-    selects whether crashes/timeouts raise (``"raise"``, default) or are
-    yielded in-stream as :class:`TaskFailure` values (``"result"``).
-
-    ``memory_limit_bytes`` arms a per-worker ``RLIMIT_AS`` soft cap on the
-    process back end (over-budget tasks fail as :class:`MemoryError` /
-    ``"oom"`` instead of OOM-killing the box); the in-process back ends
-    share the caller's address space and ignore it.
-    """
-    if executor not in EXECUTORS:
-        raise ValidationError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-    if failure_mode not in ("raise", "result"):
-        raise ValidationError(
-            f"failure_mode must be 'raise' or 'result', got {failure_mode!r}"
-        )
-    if task_timeout is not None and task_timeout <= 0:
-        raise ValidationError(f"task_timeout must be > 0, got {task_timeout}")
-    task_list = [tuple(t) for t in tasks]
-
-    if executor == "serial" or len(task_list) <= 1:
-        if shared_state is not _UNSET:
-            state = shared_state
-        else:
-            if init_fn is None:
-                raise ValidationError("map_with_state needs init_fn or shared_state")
-            state = init_fn(payload)
-        for t in task_list:
-            if task_timeout is None:
-                yield task_fn(state, *t)
-                continue
-            completed, value = run_with_deadline(
-                lambda t=t: task_fn(state, *t), task_timeout
-            )
-            if completed:
-                yield value
-            else:
-                failure = TaskFailure(
-                    "timeout",
-                    f"task exceeded the {task_timeout:.6g}s deadline "
-                    "(watchdog thread abandoned)",
-                )
-                if failure_mode == "raise":
-                    raise TaskDeadlineExceeded(failure.message)
-                yield failure
-        return
-
-    if executor == "process":
-        if init_fn is None:
-            raise ValidationError("map_with_state needs init_fn for pool executors")
-        stream = _supervised_imap(
-            task_fn,
-            task_list,
-            max_workers=effective_workers(max_workers, len(task_list)),
-            init_fn=init_fn,
-            payload=payload,
-            task_timeout=task_timeout,
-            memory_limit_bytes=memory_limit_bytes,
-        )
-        try:
-            for outcome in stream:
-                yield _deliver(outcome, failure_mode)
-        finally:
-            stream.close()
-        return
-
-    # thread back end
-    token = next(_RUN_TOKENS)
-    use_shared = shared_state is not _UNSET
-    if not use_shared and init_fn is None:
-        raise ValidationError("map_with_state needs init_fn for pool executors")
-    _WORKER_STATE[token] = shared_state if use_shared else init_fn(payload)
-    pool = concurrent.futures.ThreadPoolExecutor(
-        max_workers=effective_workers(max_workers, len(task_list))
-    )
-    timed_out = False
-    try:
-        futures = [pool.submit(_run_task, token, task_fn, t) for t in task_list]
-        for index, future in enumerate(futures):
-            try:
-                yield (
-                    future.result()
-                    if task_timeout is None
-                    else future.result(timeout=task_timeout)
-                )
-            except concurrent.futures.TimeoutError:
-                timed_out = True
-                future.cancel()  # not started yet -> never runs
-                failure = TaskFailure(
-                    "timeout",
-                    f"task {index} exceeded the {task_timeout:.6g}s deadline "
-                    "(worker thread cannot be reclaimed)",
-                )
-                if failure_mode == "raise":
-                    raise TaskDeadlineExceeded(failure.message) from None
-                yield failure
-    finally:
-        # Abandoned mid-stream (interruption, strict-mode abort): drop the
-        # queued work instead of finishing it behind the caller's back.  A
-        # pool with timed-out (stuck) threads cannot be waited on; release
-        # any chaos-injected hangs so interpreter shutdown is not stalled.
-        if timed_out:
-            chaos.release_hangs()
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-        _WORKER_STATE.pop(token, None)  # thread workers share this module
-
-
-def map_with_state(
-    task_fn: Callable[..., Any],
-    tasks: Iterable[Sequence[Any]],
-    *,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    init_fn: Callable[[Any], Any] | None = None,
-    payload: Any = None,
-    shared_state: Any = _UNSET,
-    task_timeout: float | None = None,
-    failure_mode: str = "raise",
-    memory_limit_bytes: int | None = None,
-) -> list[Any]:
-    """Run ``task_fn(state, *task)`` for every task and return results in task order.
-
-    Parameters
-    ----------
-    task_fn:
-        Module-level callable (so it can cross a process boundary) receiving
-        the per-worker state followed by the task's own arguments.
-    tasks:
-        Argument tuples, one per task.
-    executor:
-        ``"process"``, ``"thread"`` or ``"serial"``.
-    max_workers:
-        Worker cap for the pool back ends; ``None`` resolves through
-        :func:`effective_workers` (``REPRO_JOBS`` env override, then the CPU
-        count, clamped to the task count).
-    init_fn / payload:
-        Build the per-worker state as ``init_fn(payload)``.  Both must be
-        picklable for the process back end.  Required for ``"process"``;
-        optional for the in-process back ends when *shared_state* is given.
-    shared_state:
-        Ready-made state for the in-process back ends (``"serial"`` and
-        ``"thread"``), short-circuiting the payload round trip.  Ignored by
-        the process back end, which always decodes *payload* worker-side.
-    task_timeout / failure_mode:
-        Per-task deadline and crash/timeout reporting; see
-        :func:`imap_with_state`.
-    """
-    return list(
-        imap_with_state(
-            task_fn,
-            tasks,
-            executor=executor,
-            max_workers=max_workers,
-            init_fn=init_fn,
-            payload=payload,
-            shared_state=shared_state,
-            task_timeout=task_timeout,
-            failure_mode=failure_mode,
-            memory_limit_bytes=memory_limit_bytes,
-        )
-    )

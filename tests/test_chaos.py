@@ -54,20 +54,14 @@ SMALL_COMPARE = [
     *FAST_ACO,
 ]
 
-#: One ``main()`` argv suffix per executor; pools get two workers so the
-#: 1-CPU CI box does not silently downgrade them to the serial path.
+#: One ``main()`` argv suffix per executor; the pool gets two workers so the
+#: 1-CPU CI box does not silently downgrade it to the serial path.
 EXECUTORS = [
-    pytest.param([], id="serial"),
-    pytest.param(["--executor", "thread", "--jobs", "2"], id="thread"),
+    pytest.param(["--executor", "serial"], id="serial"),
     pytest.param(
         ["--executor", "process", "--jobs", "2"],
         marks=pytest.mark.slow,
         id="process",
-    ),
-    pytest.param(
-        ["--executor", "colonies", "--jobs", "2", "--colonies", "2"],
-        marks=pytest.mark.slow,
-        id="colonies",
     ),
     pytest.param(["--executor", "batched", "--jobs", "2"], id="batched"),
 ]

@@ -107,8 +107,7 @@ class TestOomLabelling:
     @pytest.mark.parametrize(
         "executor_args",
         [
-            pytest.param([], id="serial"),
-            pytest.param(["--executor", "thread", "--jobs", "2"], id="thread"),
+            pytest.param(["--executor", "serial"], id="serial"),
             pytest.param(["--executor", "batched", "--jobs", "2"], id="batched"),
         ],
     )
@@ -238,7 +237,7 @@ class TestCrashStorm:
 class TestDegradedRungBitIdentity:
     @pytest.fixture()
     def reference(self, capsys):
-        return _tables(capsys, SMALL_COMPARE)
+        return _tables(capsys, [*SMALL_COMPARE, "--executor", "serial"])
 
     def test_native_kernel_rung(self, capsys, reference):
         resources.governor().trip("native-kernel", "test")

@@ -60,6 +60,16 @@ class TestParser:
             )
             assert args.command == command
 
+    def test_experiment_commands_offer_three_executors(self):
+        parser = build_parser()
+        for command in ("compare", "figures", "tune"):
+            assert parser.parse_args([command]).executor == "batched"
+            for executor in ("batched", "serial", "process"):
+                assert parser.parse_args([command, "--executor", executor]).executor == executor
+        for gone in ("thread", "colonies"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["compare", "--executor", gone])
+
 
 class TestLayerCommand:
     def test_layer_with_lpl(self, graph_file, capsys):
@@ -118,6 +128,12 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "MinWidth" in out and "AntColony" in out
         assert "(running_time)" in out
+        # Every measured running time shows: none rounds to zero.
+        table = out.split("(running_time)\n", 1)[1].split("\n\n", 1)[0]
+        rows = table.strip().splitlines()[2:]  # past the header and the rule
+        assert len(rows) == 2
+        times = [float(value) for row in rows for value in row.split()[1:]]
+        assert len(times) == 10 and all(t > 0 for t in times)
 
     def test_no_aco_flag(self, capsys):
         code = main(

@@ -121,13 +121,16 @@ class TestEngineIntegration:
         layering = spec.resolve()(g)
         assert layering == parallel_aco_layering(g, FAST, n_colonies=3).layering
 
-    def test_engine_accepts_colonies_executor(self):
-        g = att_like_dag(15, seed=21)
-        unit = WorkUnit(graph=g, method=MethodSpec.ant_colony(FAST, n_colonies=2))
-        serial = ExperimentEngine(executor="serial").run([unit])
-        # jobs=1 keeps the (1-CPU CI) process pool to a single worker.
-        colonies = ExperimentEngine(executor="colonies", jobs=1).run([unit])
-        assert colonies[0].metrics == serial[0].metrics
+    def test_portfolio_spec_through_process_matches_serial(self):
+        spec = MethodSpec.ant_colony(FAST, n_colonies=2)
+        units = [
+            WorkUnit(graph=att_like_dag(15, seed=seed), method=spec) for seed in (21, 22)
+        ]
+        serial = ExperimentEngine(executor="serial").run(units)
+        # Two units and two workers: the pool runs them (one worker would
+        # downgrade the run to the serial path).
+        process = ExperimentEngine(executor="process", jobs=2).run(units)
+        assert [c.metrics for c in process] == [c.metrics for c in serial]
 
     def test_engine_rejects_unknown_executor(self):
         with pytest.raises(ValidationError):

@@ -63,7 +63,7 @@ def _deterministic_view(cells):
 class TestFaultIsolation:
     @pytest.mark.parametrize(
         "executor",
-        ["serial", "thread", pytest.param("process", marks=pytest.mark.slow)],
+        ["serial", "batched", pytest.param("process", marks=pytest.mark.slow)],
     )
     def test_failing_cell_is_recorded_and_run_continues(self, executor, monkeypatch):
         monkeypatch.setenv(FAIL_CELLS_ENV, FAIL_PATTERN)
@@ -83,15 +83,7 @@ class TestFaultIsolation:
         # Every other cell is unaffected.
         assert all(c.metrics is not None for c in cells if c.ok)
 
-    @pytest.mark.slow
-    def test_failing_cell_on_colonies_executor(self, monkeypatch):
-        monkeypatch.setenv(FAIL_CELLS_ENV, FAIL_PATTERN)
-        specs = default_method_specs(aco_params=FAST_ACO, n_colonies=2)
-        cells = ExperimentEngine(executor="colonies", jobs=2).run(_units(specs))
-        assert sum(not c.ok for c in cells) == 1
-        assert sum(c.ok for c in cells) == len(cells) - 1
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
     def test_strict_mode_fails_fast(self, executor, monkeypatch):
         monkeypatch.setenv(FAIL_CELLS_ENV, FAIL_PATTERN)
         engine = ExperimentEngine(executor=executor, jobs=2, strict=True)
@@ -166,15 +158,15 @@ class TestStreaming:
     def test_run_iter_yields_submission_order_per_executor(self):
         units = _units()
         expected = [(u.graph_name, u.algorithm) for u in units]
-        for executor in ("serial", "thread"):
-            engine = ExperimentEngine(executor=executor, jobs=3)
+        for executor in ("batched", "serial"):
+            engine = ExperimentEngine(executor=executor)
             seen = [(c.graph_name, c.algorithm) for c in engine.run_iter(units)]
             assert seen == expected
 
     @pytest.mark.slow
     def test_run_iter_process_matches_serial(self):
         units = _units()
-        serial = _deterministic_view(ExperimentEngine().run_iter(units))
+        serial = _deterministic_view(ExperimentEngine(executor="serial").run_iter(units))
         procs = _deterministic_view(
             ExperimentEngine(executor="process", jobs=2).run_iter(units)
         )

@@ -22,6 +22,7 @@ from repro.experiments.tuning import alpha_beta_sweep, nd_width_sweep
 from repro.graph.generators import att_like_dag
 from repro.layering.longest_path import longest_path_layering
 from repro.utils.exceptions import ValidationError
+from repro.utils.pool import imap_with_state
 
 CORPUS = att_like_corpus(graphs_per_group=1, vertex_counts=(10, 20))
 FAST_ACO = ACOParams(n_ants=2, n_tours=2, seed=0)
@@ -36,6 +37,13 @@ def _comparison_key(comparison):
 
 def _run(engine=None):
     return run_comparison(CORPUS, default_method_specs(aco_params=FAST_ACO), engine=engine)
+
+
+def _kernel_threads(state, index):
+    """Pool task: the walk-kernel thread count this worker resolves."""
+    from repro.aco import _native
+
+    return _native.effective_threads()
 
 
 class TestMethodSpec:
@@ -104,25 +112,38 @@ class TestEngineValidation:
 
     def test_from_options_defaults(self, tmp_path):
         engine = ExperimentEngine.from_options()
-        assert engine.executor == "serial" and engine.cache is None
+        assert engine.executor == "batched" and engine.cache is None
+        assert ExperimentEngine().executor == "batched"
         engine = ExperimentEngine.from_options(
-            executor="thread", jobs=2, cache_dir=str(tmp_path)
+            executor="process", jobs=2, cache_dir=str(tmp_path)
         )
-        assert engine.executor == "thread"
+        assert engine.executor == "process"
         assert engine.cache is not None
 
 
 class TestEngineDeterminism:
-    def test_thread_matches_serial(self):
-        serial = _run(ExperimentEngine(executor="serial"))
-        threaded = _run(ExperimentEngine(executor="thread", jobs=3))
-        assert _comparison_key(serial) == _comparison_key(threaded)
-
     @pytest.mark.slow
     def test_process_matches_serial(self):
         serial = _run(ExperimentEngine(executor="serial"))
         procs = _run(ExperimentEngine(executor="process", jobs=2))
         assert _comparison_key(serial) == _comparison_key(procs)
+
+    def test_process_workers_run_a_one_thread_kernel(self, monkeypatch):
+        # The pool's workers already share the cores; each fanning the kernel
+        # out over REPRO_ACO_THREADS more would oversubscribe them.
+        from repro.aco import _native
+        from repro.experiments import engine as engine_module
+
+        monkeypatch.setenv(_native.REPRO_ACO_THREADS_ENV, "2")
+        threads = imap_with_state(
+            _kernel_threads,
+            [(0,), (1,)],
+            init_fn=engine_module._init_worker,
+            payload={},
+            max_workers=2,
+        )
+        assert list(threads) == [1, 1]
+        assert _native.effective_threads() == 2  # the parent keeps its setting
 
     def test_result_order_is_submission_order(self):
         units = [
@@ -130,10 +151,11 @@ class TestEngineDeterminism:
             for entry in CORPUS
             for name, spec in default_method_specs(aco_params=FAST_ACO).items()
         ]
-        results = ExperimentEngine(executor="thread", jobs=4).run(units)
-        assert [(r.graph_name, r.algorithm) for r in results] == [
-            (u.graph_name, u.algorithm) for u in units
-        ]
+        for executor in ("batched", "process"):
+            results = ExperimentEngine(executor=executor, jobs=2).run(units)
+            assert [(r.graph_name, r.algorithm) for r in results] == [
+                (u.graph_name, u.algorithm) for u in units
+            ]
 
     def test_default_engine_matches_legacy_run_comparison(self):
         # The spec path must reproduce the historical callable path exactly.
@@ -145,8 +167,8 @@ class TestEngineDeterminism:
 
     def test_callable_methods_work_on_every_executor(self):
         algorithms = {"OnlyLPL": longest_path_layering}
-        serial = run_comparison(CORPUS, algorithms)
-        for executor in ("thread", "process"):
+        serial = run_comparison(CORPUS, algorithms, engine=ExperimentEngine(executor="serial"))
+        for executor in ("batched", "process"):
             other = run_comparison(
                 CORPUS, algorithms, engine=ExperimentEngine(executor=executor, jobs=2)
             )
@@ -180,11 +202,12 @@ class TestResultCache:
             "_execute_unit",
             lambda unit, *rest: calls.append(unit) or real_execute(unit, *rest),
         )
-        comparison = _run(ExperimentEngine(cache=cache))
+        # Serial: every executed cell goes through _execute_unit (packs do not).
+        comparison = _run(ExperimentEngine(executor="serial", cache=cache))
         assert not comparison.failures
         assert len(calls) == len(comparison.results)
         calls.clear()
-        warm = _run(ExperimentEngine(cache=cache))
+        warm = _run(ExperimentEngine(executor="serial", cache=cache))
         assert calls == []  # every cell served from the cache
         assert _comparison_key(comparison) == _comparison_key(warm)
 
@@ -339,17 +362,17 @@ class TestCacheMaintenance:
 
 class TestSweepAndFigureDispatch:
     def test_alpha_beta_sweep_engine_invariant(self):
-        serial = alpha_beta_sweep(CORPUS, alphas=(1, 2), betas=(1,), base_params=FAST_ACO)
-        threaded = alpha_beta_sweep(
+        default = alpha_beta_sweep(CORPUS, alphas=(1, 2), betas=(1,), base_params=FAST_ACO)
+        serial = alpha_beta_sweep(
             CORPUS,
             alphas=(1, 2),
             betas=(1,),
             base_params=FAST_ACO,
-            engine=ExperimentEngine(executor="thread", jobs=2),
+            engine=ExperimentEngine(executor="serial"),
         )
-        assert [p.setting for p in serial.points] == [p.setting for p in threaded.points]
+        assert [p.setting for p in serial.points] == [p.setting for p in default.points]
         assert [p.mean_objective for p in serial.points] == [
-            p.mean_objective for p in threaded.points
+            p.mean_objective for p in default.points
         ]
 
     def test_nd_width_sweep_warm_cache(self, tmp_path):
@@ -366,12 +389,12 @@ class TestSweepAndFigureDispatch:
 
     def test_figure_engine_invariant(self):
         default = figure4(corpus=CORPUS, aco_params=FAST_ACO)
-        threaded = figure4(
+        serial = figure4(
             corpus=CORPUS,
             aco_params=FAST_ACO,
-            engine=ExperimentEngine(executor="thread", jobs=2),
+            engine=ExperimentEngine(executor="serial"),
         )
-        assert default.panels == threaded.panels
+        assert default.panels == serial.panels
 
     def test_cell_results_carry_metadata(self):
         results = ExperimentEngine().run(

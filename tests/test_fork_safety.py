@@ -32,7 +32,7 @@ import json
 
 from repro.aco import ACOParams, aco_layering
 from repro.graph.generators import att_like_dag
-from repro.utils.pool import map_with_state
+from repro.utils.pool import imap_with_state
 
 PARAMS = ACOParams(n_ants=8, n_tours=3, seed=7)
 SEEDS = (1, 2, 3, 4)
@@ -51,13 +51,8 @@ def task(state, seed):
 
 
 parent = [layer(seed) for seed in SEEDS]
-workers = map_with_state(
-    task,
-    [(seed,) for seed in SEEDS],
-    executor="process",
-    max_workers=2,
-    init_fn=init,
-    payload=None,
+workers = list(
+    imap_with_state(task, [(seed,) for seed in SEEDS], init_fn=init, max_workers=2)
 )
 print(json.dumps({"parent": parent, "workers": workers}))
 """

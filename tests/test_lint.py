@@ -559,13 +559,13 @@ class TestPayloadRule:
         report = lint_source(
             tmp_path,
             """
-            from repro.utils.pool import map_with_state
+            from repro.utils.pool import imap_with_state
 
             def run(units):
                 def task(unit, state):
                     return unit
 
-                return map_with_state(task, units, init_fn=lambda p: p)
+                return imap_with_state(task, units, init_fn=lambda p: p)
             """,
         )
         assert sorted(codes(report)) == ["RPL005", "RPL005"]
@@ -576,11 +576,11 @@ class TestPayloadRule:
             """
             import threading
 
-            from repro.utils.pool import map_with_state
+            from repro.utils.pool import imap_with_state
 
             def run(task, units):
                 lock = threading.Lock()
-                return map_with_state(task, units, payload=(lock, "config"))
+                return imap_with_state(task, units, payload=(lock, "config"))
             """,
         )
         assert codes(report) == ["RPL005"]
@@ -590,10 +590,10 @@ class TestPayloadRule:
         report = lint_source(
             tmp_path,
             """
-            from repro.utils.pool import map_with_state
+            from repro.utils.pool import imap_with_state
 
             def run(task, units, shared):
-                return map_with_state(task, units, payload=(shared.shm, 1))
+                return imap_with_state(task, units, payload=(shared.shm, 1))
             """,
         )
         assert codes(report) == ["RPL005"]
@@ -605,12 +605,12 @@ class TestPayloadRule:
         report = lint_source(
             tmp_path,
             """
-            from repro.utils.pool import map_with_state
+            from repro.utils.pool import imap_with_state
 
             def run(task, units, problem, params):
                 shared = publish_problem(problem)
                 try:
-                    return map_with_state(
+                    return imap_with_state(
                         task, units, payload=(shared.manifest, params.as_dict())
                     )
                 finally:
@@ -624,13 +624,13 @@ class TestPayloadRule:
         report = lint_source(
             tmp_path,
             """
-            from repro.utils.pool import map_with_state
+            from repro.utils.pool import imap_with_state
 
             def _task(unit, state):
                 return unit
 
             def run(units, table):
-                return map_with_state(_task, units, payload=table)
+                return imap_with_state(_task, units, payload=table)
             """,
         )
         assert report.ok

@@ -74,11 +74,12 @@ class TestPackedBitIdentity:
     def test_engine_matrix(self, engine, native, batch_size, monkeypatch):
         if not native:
             monkeypatch.setenv("REPRO_ACO_NATIVE", "0")
-        # Packs always run the kernel, whatever the spec's engine says; the
-        # reference side is the reference loop run cell by cell.
+        # The reference side is the reference loop run cell by cell.  On the
+        # batched side a "vectorized" spec is packed and runs the kernel,
+        # while a "python" spec stays unpacked: the oracle is never a pack.
         graphs = _graphs()
         oracle = _units(graphs, MethodSpec.ant_colony(FAST.replace(engine="python")))
-        serial = ExperimentEngine().run(oracle)
+        serial = ExperimentEngine(executor="serial").run(oracle)
         batched = ExperimentEngine(executor="batched", batch_size=batch_size).run(
             _units(graphs, MethodSpec.ant_colony(FAST.replace(engine=engine)))
         )
@@ -98,7 +99,7 @@ class TestPackedBitIdentity:
     def test_configuration_matrix(self, params):
         graphs = _graphs()
         oracle = _units(graphs, MethodSpec.ant_colony(params.replace(engine="python")))
-        serial = ExperimentEngine().run(oracle)
+        serial = ExperimentEngine(executor="serial").run(oracle)
         batched = ExperimentEngine(executor="batched").run(
             _units(graphs, MethodSpec.ant_colony(params))
         )
@@ -151,7 +152,7 @@ class TestPackedBitIdentity:
                 for name, spec in default_method_specs(aco_params=aco_params).items()
             ]
 
-        serial = ExperimentEngine().run(units(FAST.replace(engine="python")))
+        serial = ExperimentEngine(executor="serial").run(units(FAST.replace(engine="python")))
         batched = ExperimentEngine(executor="batched").run(units(FAST))
         assert _metric_view(batched) == _metric_view(serial)
 
@@ -192,7 +193,7 @@ class TestBatchedLifecycle:
             _units(graphs, spec)
         )
         assert [c.cached for c in cells] == [True, True, False, False, False]
-        serial = ExperimentEngine().run(_units(graphs, spec))
+        serial = ExperimentEngine(executor="serial").run(_units(graphs, spec))
         assert _metric_view(cells) == _metric_view(serial)
 
     def test_journal_replay_composes(self, tmp_path):
@@ -219,7 +220,7 @@ class TestBatchedLifecycle:
                 executor="batched", journal=journal, resume=True
             ).run(units)
         assert sum(c.replayed for c in resumed) == 2
-        serial = ExperimentEngine().run(units)
+        serial = ExperimentEngine(executor="serial").run(units)
         assert _metric_view(resumed) == _metric_view(serial)
 
     def test_poisoned_graph_fails_only_its_cell(self, monkeypatch):
@@ -231,7 +232,7 @@ class TestBatchedLifecycle:
         assert cells[2].error is not None
         assert "injected failure" in cells[2].error.message
         monkeypatch.delenv(FAIL_CELLS_ENV)
-        serial = ExperimentEngine().run(units)
+        serial = ExperimentEngine(executor="serial").run(units)
         healthy = [v for i, v in enumerate(_metric_view(cells)) if i != 2]
         expected = [v for i, v in enumerate(_metric_view(serial)) if i != 2]
         assert healthy == expected
@@ -241,6 +242,26 @@ class TestBatchedLifecycle:
         monkeypatch.setenv(FAIL_CELLS_ENV, "AntColony:g0")
         with pytest.raises(CellFailure):
             ExperimentEngine(executor="batched", strict=True).run(units)
+
+    def test_default_engine_leaves_the_reference_loop_unpacked(self, monkeypatch):
+        # engine="python" is the oracle every identity test compares against,
+        # so the default (batched) engine must run it, never a pack.
+        import repro.aco.runtime as runtime
+
+        packs = []
+        real = runtime.run_packed_colonies
+        monkeypatch.setattr(
+            runtime,
+            "run_packed_colonies",
+            lambda *args, **kwargs: packs.append(args) or real(*args, **kwargs),
+        )
+        units = _units(_graphs(), MethodSpec.ant_colony(FAST.replace(engine="python")))
+        cells = ExperimentEngine().run(units)
+        assert packs == []
+        assert all(c.ok for c in cells)
+        # The same spec with the kernel engine is packed.
+        ExperimentEngine().run(_units(_graphs(), MethodSpec.ant_colony(FAST)))
+        assert len(packs) == 1
 
     def test_seedless_spec_falls_back_to_serial_path(self):
         # seed=None means fresh entropy: nothing to replicate, so the cells
@@ -257,7 +278,7 @@ class TestBatchedLifecycle:
 class TestExecutorDowngrade:
     def test_process_downgrades_to_serial_with_note(self, capsys):
         units = _units(_graphs()[:2], MethodSpec.ant_colony(FAST))
-        serial = ExperimentEngine().run(units)
+        serial = ExperimentEngine(executor="serial").run(units)
         cells = ExperimentEngine(executor="process", jobs=1).run(units)
         assert _metric_view(cells) == _metric_view(serial)
         note = capsys.readouterr().err
@@ -266,7 +287,7 @@ class TestExecutorDowngrade:
 
     def test_note_emitted_once_per_engine(self, capsys):
         units = _units(_graphs()[:2], MethodSpec.ant_colony(FAST, n_colonies=2))
-        engine = ExperimentEngine(executor="colonies", jobs=1)
+        engine = ExperimentEngine(executor="process", jobs=1)
         engine.run(units)
         engine.run(units)
         assert capsys.readouterr().err.count("running cells serially") == 1

@@ -73,12 +73,6 @@ def test_each_base_runs_once_per_graph(base_calls, executor):
     assert base_calls == {"LPL": len(CORPUS), "MinWidth": len(CORPUS)}
 
 
-def test_thread_executor_computes_every_cell_on_its_own(base_calls):
-    engine = ExperimentEngine(executor="thread", jobs=2)
-    run_comparison(CORPUS, default_method_specs(include_aco=False), engine=engine)
-    assert base_calls == {"LPL": 2 * len(CORPUS), "MinWidth": 2 * len(CORPUS)}
-
-
 def test_metrics_are_pl_of_a_fresh_base():
     comparison = run_comparison(CORPUS, default_method_specs(include_aco=False))
     got = {(r.algorithm, r.graph_name): r.metrics for r in comparison.results}
